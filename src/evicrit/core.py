@@ -3,7 +3,8 @@ the fourteen-indicator catalog.
 
 All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
-are deterministic (always grade order).
+are deterministic (always grade order).  A mass function is a vector with
+one slot per subset, indexed by its bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     FrameMismatch,
@@ -139,51 +142,70 @@ def subsets_of(universe: Subset = FULL_SET) -> tuple[Subset, ...]:
     return tuple(out)
 
 
-def _canonical_order(subset_mass: tuple[Subset, float]) -> tuple[int, int]:
-    # smallest sets first, then grade order within a size
-    return (len(subset_mass[0]), subset_mass[0].bits)
+#: number of mass slots: one per subset of the frame, indexed by its bits
+SLOTS = 1 << len(FRAME)
+#: the Subset held in each slot
+SUBSETS: tuple[Subset, ...] = tuple(Subset(bits) for bits in range(SLOTS))
+#: slots in canonical order: smallest sets first, then grade order within a size
+CANONICAL_ORDER: tuple[int, ...] = tuple(
+    sorted(range(SLOTS), key=lambda bits: (bits.bit_count(), bits)))
+#: AND_TABLE[a, b] is the slot of the intersection of slots a and b
+AND_TABLE = np.bitwise_and.outer(np.arange(SLOTS), np.arange(SLOTS))
+AND_TABLE.setflags(write=False)
+
+
+def _mass_list(items: Iterable[tuple[Subset, float]]) -> list[float]:
+    """Slot values of (subset, mass) pairs; duplicates add up in input order."""
+    acc = [0.0] * SLOTS
+    for subset, mass in items:
+        acc[subset.bits] += float(mass)
+    return acc
 
 
 class Bpa:
     """A basic probability assignment: unit belief mass over grade subsets.
 
-    ``frame`` is the subset acting as the frame of discernment; masses may
-    only sit on its subsets.  Instances are immutable by convention: no
-    method mutates, and the internal mapping is never handed out.
+    The masses live in one read-only float64 vector of ``SLOTS`` entries;
+    slot ``i`` holds the mass of ``Subset(i)``.  Given (subset, mass) pairs,
+    the constructor adds up duplicates in input order; given a slot vector,
+    it keeps that array and makes it read-only.  ``frame`` is the subset
+    acting as the frame of discernment; masses may only sit on its subsets.
     """
 
-    __slots__ = ("_masses", "frame")
+    __slots__ = ("vector", "frame")
 
-    def __init__(self, masses: Mapping[Subset, float] | Iterable[tuple[Subset, float]],
-                 frame: Subset = FULL_SET):
-        items = masses.items() if isinstance(masses, Mapping) else masses
-        acc: dict[Subset, float] = {}
-        for subset, mass in items:
-            acc[subset] = acc.get(subset, 0.0) + float(mass)
-        self._masses = acc
+    def __init__(self, masses: Mapping[Subset, float] | Iterable[tuple[Subset, float]]
+                 | np.ndarray, frame: Subset = FULL_SET):
+        if isinstance(masses, np.ndarray):
+            if masses.shape != (SLOTS,):
+                raise ValueError(f"slot vector needs shape ({SLOTS},), got {masses.shape}")
+        else:
+            masses = np.array(_mass_list(
+                masses.items() if isinstance(masses, Mapping) else masses))
+        masses.setflags(write=False)
+        self.vector = masses
         self.frame = frame
 
     def mass(self, subset: Subset) -> float:
-        return self._masses.get(subset, 0.0)
+        return float(self.vector[subset.bits])
 
     def focal(self) -> tuple[tuple[Subset, float], ...]:
         """(subset, mass) pairs with positive mass, in canonical order."""
-        positive = [(s, m) for s, m in self._masses.items() if m > 0.0]
-        return tuple(sorted(positive, key=_canonical_order))
+        values = self.vector.tolist()
+        return tuple((SUBSETS[i], values[i]) for i in CANONICAL_ORDER if values[i] > 0.0)
 
     def items(self) -> tuple[tuple[Subset, float], ...]:
-        """All stored (subset, mass) pairs, zero masses included."""
-        return tuple(sorted(self._masses.items(), key=_canonical_order))
+        """All nonzero (subset, mass) pairs, in canonical order."""
+        values = self.vector.tolist()
+        return tuple((SUBSETS[i], values[i]) for i in CANONICAL_ORDER if values[i] != 0.0)
 
     def total(self) -> float:
-        return math.fsum(self._masses.values())
+        return math.fsum(self.vector.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bpa):
             return NotImplemented
-        mine = {s: m for s, m in self._masses.items() if m != 0.0}
-        theirs = {s: m for s, m in other._masses.items() if m != 0.0}
-        return self.frame == other.frame and mine == theirs
+        return self.frame == other.frame and bool(np.array_equal(self.vector, other.vector))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m:.6g}" for s, m in self.focal())
@@ -195,26 +217,39 @@ def vacuous(frame: Subset = FULL_SET) -> Bpa:
     return Bpa({frame: 1.0}, frame=frame)
 
 
-def unit_normalized(masses: Mapping[Subset, float], frame: Subset = FULL_SET) -> Bpa:
-    """Build a Bpa whose masses sum to exactly 1.0.
+def unit_normalized(masses: Mapping[Subset, float] | Sequence[float],
+                    frame: Subset = FULL_SET) -> Bpa:
+    """Build a Bpa from the positive masses, summing to exactly 1.0.
 
-    Scales proportionally, then absorbs the remaining float residue into
-    the heaviest focal set (deterministic tie-break) so repeated
-    normalization is a no-op.
+    ``masses`` maps subsets to masses, or is a slot vector of ``SLOTS``
+    floats.  Scales proportionally, then absorbs the remaining float
+    residue into the heaviest focal set (lowest bits on ties) so repeated
+    normalization is a no-op.  An infinite mass or total is rejected.
     """
-    positive = {s: m for s, m in masses.items() if m > 0.0}
-    total = math.fsum(positive.values())
-    if not positive or total <= 0.0:
+    if isinstance(masses, Mapping):
+        positive = {s.bits: float(m) for s, m in masses.items() if m > 0.0}
+    else:
+        positive = {bits: m for bits, m in enumerate(masses) if m > 0.0}
+    try:
+        total = math.fsum(positive.values())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise MassSumInvalid("masses must be finite and sum to a finite total")
+    if total <= 0.0:
         raise MassSumInvalid("no positive mass to normalize")
     if total != 1.0:
-        positive = {s: m / total for s, m in positive.items()}
+        positive = {bits: m / total for bits, m in positive.items()}
     for _ in range(8):
         residue = 1.0 - math.fsum(positive.values())
         if residue == 0.0:
             break
-        heaviest = max(positive, key=lambda s: (positive[s], -s.bits))
+        heaviest = max(positive, key=lambda bits: (positive[bits], -bits))
         positive[heaviest] += residue
-    return Bpa(positive, frame=frame)
+    vector = [0.0] * SLOTS
+    for bits, m in positive.items():
+        vector[bits] = m
+    return Bpa(np.array(vector), frame=frame)
 
 
 def validate_bpa(b: Bpa) -> Bpa:
@@ -238,7 +273,7 @@ def validate_bpa(b: Bpa) -> Bpa:
         raise MassSumInvalid(f"masses sum to {total!r}, not 1")
     if total == 1.0:
         return b
-    return unit_normalized(dict(b.items()), frame=b.frame)
+    return unit_normalized(b.vector.tolist(), frame=b.frame)
 
 
 # --- BPA fixture format (JSON) ----------------------------------------------
@@ -258,6 +293,10 @@ def bpa_from_dict(data: Mapping) -> Bpa:
         entries = data["masses"]
     except (KeyError, TypeError):
         raise ParseError('BPA object needs "frame" and "masses" keys') from None
+    if not isinstance(frame_names, list):
+        raise ParseError('"frame" must be a list of grade names')
+    if not isinstance(entries, list):
+        raise ParseError('"masses" must be a list of subset/mass entries')
     frame = Subset.from_names(frame_names)
     masses: dict[Subset, float] = {}
     for pos, entry in enumerate(entries):

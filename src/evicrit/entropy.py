@@ -72,7 +72,8 @@ def entropy_values(p: np.ndarray) -> np.ndarray:
 
     Zero entries contribute zero (the 0 ln 0 = 0 convention).  Columns whose
     entries are all equal return exactly 1.0 so the uniform case is not
-    blurred by rounding.
+    blurred by rounding, and rounding overshoot past either end is clamped,
+    so d = 1 - E is never negative.
     """
     p = np.asarray(p, dtype=float)
     m = p.shape[0]
@@ -80,7 +81,7 @@ def entropy_values(p: np.ndarray) -> np.ndarray:
         raise DegenerateRows(f"entropy scaling needs at least 2 rows, got {m}")
     safe = np.where(p > 0.0, p, 1.0)
     terms = np.where(p > 0.0, p * np.log(safe), 0.0)
-    e = -terms.sum(axis=0) / math.log(m)
+    e = np.clip(-terms.sum(axis=0) / math.log(m), 0.0, 1.0)
     uniform = np.ptp(p, axis=0) == 0.0
     return np.where(uniform, 1.0, e)
 

@@ -1,6 +1,10 @@
 """Evidence fusion: conflict, Dempster's rule, Murphy's averaging rule, the
 pignistic transform, and ranking.
 
+The kernels work on each Bpa's slot vector.  Every sum they form is one
+``math.fsum``, which is correctly rounded, so results do not depend on the
+order of the focal sets and Dempster's rule is commutative bit for bit.
+
 ``brute_force_combine`` re-derives Dempster's rule by enumerating every
 subset pair of the frame with no sparsity shortcuts; it exists purely as an
 oracle for the optimized path and must stay independent of it.
@@ -13,13 +17,17 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import (
+    AND_TABLE,
     EMPTY_SET,
     FRAME,
+    MASS_PRUNE_EPS,
+    SLOTS,
+    SUBSETS,
     Bpa,
     Label,
-    Subset,
-    MASS_PRUNE_EPS,
     subsets_of,
     unit_normalized,
 )
@@ -37,37 +45,63 @@ class CombinationResult:
     conflict_k: float
 
 
-def conflict(m1: Bpa, m2: Bpa) -> float:
-    """Total product mass on empty intersections; symmetric, in [0, 1]."""
+#: the outer product's (row, column) pairs grouped by the slot of their
+#: intersection, and where each slot's group starts
+_BY_TARGET = np.argsort(AND_TABLE.ravel(), kind="stable")
+_ROWS, _COLS = np.divmod(_BY_TARGET, SLOTS)
+_TARGET_STARTS = np.searchsorted(AND_TABLE.ravel()[_BY_TARGET], np.arange(SLOTS))
+#: per grade, the slots whose subsets hold it, and those subsets' sizes
+_MEMBER_SLOTS = np.array([[bits for bits in range(SLOTS) if bits >> int(label) & 1]
+                          for label in FRAME])
+_MEMBER_SIZES = np.array([[len(SUBSETS[bits]) for bits in row] for row in _MEMBER_SLOTS],
+                         dtype=float)
+
+
+def _check_frames(m1: Bpa, m2: Bpa) -> None:
     if m1.frame != m2.frame:
         raise FrameMismatch(f"frames differ: {m1.frame} vs {m2.frame}")
-    products = [
-        mass_a * mass_b
-        for a, mass_a in m1.focal()
-        for b, mass_b in m2.focal()
-        if (a & b).is_empty()
-    ]
-    return math.fsum(products)
+
+
+def _conjunctive(m1: Bpa, m2: Bpa) -> list[float]:
+    """Unnormalized conjunctive combination, one value per slot.
+
+    Each focal pair's product goes to the slot of its intersection; each
+    slot is one correctly rounded ``fsum`` of its products, so the result
+    does not depend on the order of the pairs.  Slot 0 is the conflict k.
+    """
+    products = np.maximum(m1.vector, 0.0)[_ROWS] * np.maximum(m2.vector, 0.0)[_COLS]
+    # drops every pair with a non-focal side: products of 0, and nan
+    keep = products > 0.0
+    counts = np.add.reduceat(keep, _TARGET_STARTS, dtype=np.intp).tolist()
+    values = products[keep].tolist()
+    sums = []
+    start = 0
+    for count in counts:
+        end = start + count
+        sums.append(math.fsum(values[start:end]) if count else 0.0)
+        start = end
+    return sums
+
+
+def conflict(m1: Bpa, m2: Bpa) -> float:
+    """Total product mass on empty intersections; symmetric, in [0, 1]."""
+    _check_frames(m1, m2)
+    return _conjunctive(m1, m2)[0]
 
 
 def dempster_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     """Dempster's rule: conjunctive combination normalized by 1 - k."""
-    if m1.frame != m2.frame:
-        raise FrameMismatch(f"frames differ: {m1.frame} vs {m2.frame}")
-    buckets: dict[Subset, list[float]] = {}
-    for a, mass_a in m1.focal():
-        for b, mass_b in m2.focal():
-            buckets.setdefault(a & b, []).append(mass_a * mass_b)
-    k = math.fsum(buckets.pop(EMPTY_SET, ()))
+    _check_frames(m1, m2)
+    slots = _conjunctive(m1, m2)
+    k = slots[0]
     if 1.0 - k <= CONFLICT_EPS:
         raise TotalConflict(f"total conflict (k = {k!r}); combination undefined",
                             conflict_k=k)
-    scale = 1.0 - k
-    masses = {}
-    for subset in sorted(buckets, key=lambda s: s.bits):
-        value = math.fsum(buckets[subset]) / scale
+    masses = [0.0] * SLOTS
+    for bits in range(1, SLOTS):
+        value = slots[bits] / (1.0 - k)
         if value >= MASS_PRUNE_EPS:
-            masses[subset] = value
+            masses[bits] = value
     return CombinationResult(bpa=unit_normalized(masses, frame=m1.frame),
                              conflict_k=k)
 
@@ -105,14 +139,13 @@ def average_bpas(bpas: Sequence[Bpa]) -> Bpa:
     if len(bpas) == 0:
         raise EmptyInput("need at least one mass function to average")
     frame = bpas[0].frame
-    collected: dict[Subset, list[float]] = {}
     for b in bpas:
         if b.frame != frame:
             raise FrameMismatch(f"frames differ: {b.frame} vs {frame}")
-        for subset, mass in b.focal():
-            collected.setdefault(subset, []).append(mass)
+    stacked = np.array([b.vector for b in bpas])
+    columns = np.where(stacked > 0.0, stacked, 0.0).T.tolist()
     n = len(bpas)
-    means = {subset: math.fsum(values) / n for subset, values in collected.items()}
+    means = [math.fsum(column) / n for column in columns]
     return unit_normalized(means, frame=frame)
 
 
@@ -140,12 +173,9 @@ def pignistic(b: Bpa) -> dict[Label, float]:
 
     The result is a probability over single grades (BetP), summing to 1.
     """
-    shares: dict[Label, list[float]] = {label: [] for label in FRAME}
-    for subset, mass in b.focal():
-        share = mass / len(subset)
-        for label in subset:
-            shares[label].append(share)
-    return {label: math.fsum(values) for label, values in shares.items()}
+    positive = np.where(b.vector > 0.0, b.vector, 0.0)
+    shares = (positive[_MEMBER_SLOTS] / _MEMBER_SIZES).tolist()
+    return {label: math.fsum(row) for label, row in zip(FRAME, shares)}
 
 
 @dataclass(frozen=True)

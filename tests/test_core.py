@@ -118,6 +118,14 @@ def test_unit_normalized_rejects_nothing_positive():
         unit_normalized({Subset.of(Label.H): 0.0})
 
 
+def test_unit_normalized_rejects_infinite_total():
+    # two finite masses whose sum overflows, and an infinite mass
+    with pytest.raises(errors.MassSumInvalid):
+        unit_normalized({FULL_SET: 1e308, Subset(1): 1e308})
+    with pytest.raises(errors.MassSumInvalid):
+        unit_normalized({FULL_SET: math.inf, Subset(1): 0.5})
+
+
 def test_validate_bpa_errors():
     h = Subset.of(Label.H)
     with pytest.raises(errors.MassOutOfRange):
@@ -174,6 +182,15 @@ def test_bpa_dict_shape():
     assert d["frame"] == ["VL", "L", "M", "H", "VH"]
     assert {"subset": ["M", "H"], "mass": 0.05} in d["masses"]
     assert bpa_from_dict(d) == b
+
+
+@pytest.mark.parametrize("doc", [{"frame": ["H"], "masses": 5},
+                                 {"frame": 5, "masses": []},
+                                 # a string is not a one-grade frame
+                                 {"frame": "L", "masses": [{"subset": ["L"], "mass": 1.0}]}])
+def test_bpa_from_dict_rejects_non_list_fields(doc):
+    with pytest.raises(errors.ParseError):
+        bpa_from_dict(doc)
 
 
 def test_bpa_from_dict_rejects_unknown_label():

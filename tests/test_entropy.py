@@ -191,6 +191,16 @@ def test_weights_sum_to_one(a):
     assert np.all(w >= 0.0)
 
 
+def test_near_uniform_column_gets_no_negative_weight():
+    # the shares round to E = 1 + 2.2e-16 before clamping
+    a = [[0.1, 0.001], [0.10000000000000012, 1.0], [0.1, 0.001], [0.1, 0.001]]
+    e = entropy_values(column_normalize(dm(a)))
+    assert e[0] == 1.0
+    w = weights_of(a)
+    assert w[0] == 0.0
+    assert w[1] == 1.0
+
+
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_entropy_in_unit_interval(a):

@@ -8,8 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evicrit import errors
-from evicrit.core import FRAME, FULL_SET, Label, Subset, unit_normalized, vacuous
+from evicrit.core import (
+    EMPTY_SET,
+    FRAME,
+    FULL_SET,
+    MASS_PRUNE_EPS,
+    Label,
+    Subset,
+    unit_normalized,
+    vacuous,
+)
 from evicrit.evidence import (
+    CONFLICT_EPS,
     average_bpas,
     brute_force_combine,
     conflict,
@@ -38,6 +48,8 @@ def test_conflict_simple():
     # only H x L collides: 0.6 * 0.5
     assert conflict(m1, m2) == pytest.approx(0.3, abs=1e-15)
     assert conflict(m1, m1) == 0.0
+    # total conflict is a value here, not an error
+    assert conflict(bpa(VL=1.0), bpa(VH=1.0)) == 1.0
 
 
 def test_dempster_self_combination():
@@ -253,3 +265,50 @@ def test_murphy_is_permutation_invariant(seed, n):
     backward = murphy_combine(list(reversed(bpas)))
     assert forward.bpa == backward.bpa
     assert forward.conflict_k == backward.conflict_k
+
+
+def bucketed_dempster(m1, m2):
+    """Reference Dempster step on Subset-keyed dicts: every focal pair's
+    product goes into its intersection's bucket, each bucket is fsum-ed
+    once, and the result is scaled to unit sum with the residue absorbed by
+    the heaviest set (lowest bits on ties).  Returns (k, items) or None on
+    total conflict."""
+    buckets = {}
+    for a, mass_a in m1.focal():
+        for b, mass_b in m2.focal():
+            buckets.setdefault(a & b, []).append(mass_a * mass_b)
+    k = math.fsum(buckets.pop(EMPTY_SET, ()))
+    if 1.0 - k <= CONFLICT_EPS:
+        return None
+    masses = {}
+    for subset, products in buckets.items():
+        value = math.fsum(products) / (1.0 - k)
+        if value >= MASS_PRUNE_EPS:
+            masses[subset] = value
+    total = math.fsum(masses.values())
+    if total != 1.0:
+        masses = {s: m / total for s, m in masses.items()}
+    for _ in range(8):
+        residue = 1.0 - math.fsum(masses.values())
+        if residue == 0.0:
+            break
+        heaviest = max(masses, key=lambda s: (masses[s], -s.bits))
+        masses[heaviest] += residue
+    items = sorted(((s, m) for s, m in masses.items() if m != 0.0),
+                   key=lambda sm: (len(sm[0]), sm[0].bits))
+    return k, tuple(items)
+
+
+@given(_seeds, st.sampled_from([6, 31]), st.sampled_from([6, 31]))
+@settings(max_examples=300, deadline=None)
+def test_dempster_matches_bucketed_reference_exactly(seed, focal_1, focal_2):
+    rng = np.random.default_rng(seed)
+    m1, m2 = random_bpa(rng, focal_1), random_bpa(rng, focal_2)
+    want = bucketed_dempster(m1, m2)
+    if want is None:
+        with pytest.raises(errors.TotalConflict):
+            dempster_combine(m1, m2)
+        return
+    got = dempster_combine(m1, m2)
+    assert got.conflict_k == want[0]
+    assert got.bpa.items() == want[1]

@@ -1,5 +1,6 @@
 """Ingestion, orchestration, emission, and the command line."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from evicrit import cli, errors
-from evicrit.core import CATALOG_IDS
+from evicrit.core import CATALOG_IDS, FRAME, Subset
 from evicrit.datasets import (
     example_input_text,
     export_example_inputs,
@@ -170,6 +171,19 @@ def test_load_bpa_fixtures(tmp_path):
         load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)))
 
 
+def test_load_bpa_fixtures_rejects_non_list_fields(tmp_path):
+    doc = {i: {"frame": ["VL", "L", "M", "H", "VH"],
+               "masses": [{"subset": ["H"], "mass": 1.0}]} for i in CATALOG_IDS}
+    doc["B3"] = {"frame": ["H"], "masses": 5}
+    with pytest.raises(errors.ParseError) as exc:
+        load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(doc)))
+    assert "B3" in str(exc.value) and '"masses"' in str(exc.value)
+    doc["B3"] = {"frame": 5, "masses": []}
+    with pytest.raises(errors.ParseError) as exc:
+        load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)))
+    assert '"frame"' in str(exc.value)
+
+
 def test_missing_file_is_io_error():
     with pytest.raises(errors.IoError):
         ingest_scores("/nonexistent/scores.csv")
@@ -258,6 +272,38 @@ def test_run_pipeline_rejects_bad_config(inputs):
         run_example(inputs, fmt="yaml")
     with pytest.raises(errors.ConfigError):
         run_example(inputs, window=0)
+
+
+def fusion_digest(manifest):
+    text = json.dumps(manifest.to_dict()["fusion"], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_example_fusion_is_pinned(inputs):
+    # every window's k, masses and BetP, to the last bit
+    manifest = run_example(inputs, alpha=0.8)
+    assert fusion_digest(manifest) == (
+        "6cef3377a3a70f04849c9371fa8fafe2c87dfb113b33276512167d2467e9f523")
+
+
+def test_dense_fixture_fusion_is_pinned(inputs, tmp_path):
+    # 20-31 focal sets per indicator; integer weights over their sum keep
+    # the fixture bytes free of transcendental functions
+    rng = np.random.default_rng(20190424)
+    doc = {}
+    for indicator_id in CATALOG_IDS:
+        count = int(rng.integers(20, 32))
+        bits = rng.choice(np.arange(1, 32), size=count, replace=False)
+        weights = rng.integers(1, 1000, size=count)
+        masses = weights / weights.sum()
+        doc[indicator_id] = {
+            "frame": [l.name for l in FRAME],
+            "masses": [{"subset": list(Subset(int(b)).names()), "mass": float(m)}
+                       for b, m in zip(bits, masses)]}
+    fixtures = write(tmp_path / "dense.json", json.dumps(doc))
+    manifest = run_example(inputs, bpa_fixtures=fixtures, window=4, stride=2)
+    assert fusion_digest(manifest) == (
+        "e7145c194f197eb14c9f7d5ffe2d314297094c392a97ea06e56de3c9ef9202bb")
 
 
 # --- emission ----------------------------------------------------------------
@@ -429,6 +475,14 @@ def test_cli_fuse_subcommand(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["conflict_k"] == 0.0
     assert payload["betp"]["H"] == pytest.approx(0.872, abs=1e-12)
+
+
+def test_cli_fuse_malformed_bpa_exits_1(tmp_path, capsys):
+    p = write(tmp_path / "bpas.json", json.dumps({"bpas": [{"frame": 5, "masses": []}]}))
+    code = cli.run(["fuse", "--bpas", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "bpas[0]" in captured.err and '"frame"' in captured.err
 
 
 def test_cli_version(capsys):
