@@ -18,7 +18,6 @@ from .ahp import (
 )
 from .core import (
     CATALOG,
-    CATALOG_IDS,
     EMPTY_SET,
     FRAME,
     FULL_SET,
@@ -27,12 +26,8 @@ from .core import (
     Label,
     Subset,
     bpa_from_dict,
-    bpa_from_json,
     bpa_to_dict,
-    bpa_to_json,
-    cardinality,
     indicator,
-    intersect,
     parse_label,
     subsets_of,
     unit_normalized,
@@ -66,7 +61,6 @@ from .fuzzy import (
     OVERLAP_MODES,
     OVERLAP_THETA,
     MembershipVector,
-    discount,
     membership,
     rating_label,
     to_bpa,
@@ -86,9 +80,8 @@ __all__ = [
     "__version__",
     # core
     "Label", "FRAME", "Subset", "EMPTY_SET", "FULL_SET", "Bpa", "Indicator",
-    "CATALOG", "CATALOG_IDS", "indicator", "parse_label", "intersect",
-    "cardinality", "subsets_of", "vacuous", "unit_normalized", "validate_bpa",
-    "bpa_to_dict", "bpa_from_dict", "bpa_to_json", "bpa_from_json",
+    "CATALOG", "indicator", "parse_label", "subsets_of", "vacuous",
+    "unit_normalized", "validate_bpa", "bpa_to_dict", "bpa_from_dict",
     # ahp
     "PairwiseMatrix", "ConsistencyReport", "DEFAULT_RI", "aggregate_geometric",
     "principal_eigenvalue", "consistency",
@@ -97,7 +90,7 @@ __all__ = [
     "divergence", "entropy_weights", "adjust_weights", "build_table",
     # fuzzy
     "MembershipVector", "GRADE_PEAKS", "OVERLAP_ADJACENT", "OVERLAP_THETA",
-    "OVERLAP_MODES", "membership", "rating_label", "to_bpa", "discount",
+    "OVERLAP_MODES", "membership", "rating_label", "to_bpa",
     # evidence
     "CombinationResult", "RankingReport", "conflict", "dempster_combine",
     "brute_force_combine", "average_bpas", "murphy_combine", "pignistic",

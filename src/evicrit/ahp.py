@@ -149,7 +149,8 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     """Consistency report: CI = (lambda_max - n) / denominator, CR = CI / RI.
 
     ``denominator_mode`` picks the CI denominator: "paper" divides by n,
-    "standard" by n - 1.  Orders 1 and 2 are always consistent (CR = 0).
+    "standard" by n - 1.  Orders 1 and 2 are always consistent (CR = 0);
+    a higher order needs a positive finite RI, else MissingRI.
     """
     if denominator_mode not in CI_DENOMINATOR_MODES:
         raise ValueError(f"denominator_mode must be one of {CI_DENOMINATOR_MODES}, "
@@ -159,13 +160,13 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     if n not in table:
         raise MissingRI(f"no random index for order {n}")
     ri = float(table[n])
+    if n > 2 and not 0.0 < ri < math.inf:
+        raise MissingRI(f"random index for order {n} must be positive and "
+                        f"finite, got {ri!r}")
     lambda_max = principal_eigenvalue(m)
     denominator = n if denominator_mode == "paper" else n - 1
     ci = (lambda_max - n) / denominator
-    if n <= 2 or ri == 0.0:
-        cr = 0.0
-    else:
-        cr = ci / ri
+    cr = 0.0 if n <= 2 else ci / ri
     return ConsistencyReport(order=n, lambda_max=lambda_max, ci=ci, ri=ri,
                              cr=cr, acceptable=cr < CR_THRESHOLD,
                              denominator_mode=denominator_mode)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .ahp import CI_DENOMINATOR_MODES, DEFAULT_RI, aggregate_geometric, consistency
+from .ahp import CI_DENOMINATOR_MODES, aggregate_geometric, consistency
 from .core import bpa_to_dict
 from .entropy import DecisionMatrix, build_table
 from .errors import EvicritError, InconsistentMatrix, IoError
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="evicrit",
                      description="Entropy-weighted fuzzy-evidential evaluation "
-                                 "of the fourteen-indicator catalog")
+                                 "of the indicators a matrices file lists")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_ri(path: str | None) -> dict[int, float]:
-    table = dict(DEFAULT_RI)
-    if path is not None:
-        table.update(load_ri_table(path))
-    return table
-
-
 def _cmd_evaluate(args) -> int:
     config = PipelineConfig(
         scores=args.scores, matrices=args.matrices, priors=args.priors,
@@ -144,7 +137,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_consistency(args) -> int:
     _, experts = ingest_matrices(args.matrices)
     aggregated = aggregate_geometric([m for _, m in experts])
-    report = consistency(aggregated, ri_table=_merged_ri(args.ri_table),
+    ri_table = None if args.ri_table is None else load_ri_table(args.ri_table)
+    report = consistency(aggregated, ri_table=ri_table,
                          denominator_mode=args.ci_denominator)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.acceptable else EXIT_INCONSISTENT
@@ -153,7 +147,7 @@ def _cmd_consistency(args) -> int:
 def _cmd_weights(args) -> int:
     ids, experts = ingest_matrices(args.matrices)
     aggregated = aggregate_geometric([m for _, m in experts])
-    priors = ingest_priors(args.priors) if args.priors else None
+    priors = ingest_priors(args.priors, ids) if args.priors else None
     table = build_table(DecisionMatrix(aggregated.values, ids), priors=priors)
     text = table.to_csv()
     if args.out:

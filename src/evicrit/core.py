@@ -1,5 +1,5 @@
 """Core domain model: linguistic grades, grade subsets, mass functions, and
-the fourteen-indicator catalog.
+the fourteen-indicator catalog whose descriptions the text report shows.
 
 All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
@@ -9,7 +9,6 @@ one slot per subset, indexed by its bits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -117,16 +116,6 @@ class Subset:
 
 EMPTY_SET = Subset(0)
 FULL_SET = Subset.of(*FRAME)
-
-
-def intersect(a: Subset, b: Subset) -> Subset:
-    """Set intersection of two grade subsets."""
-    return a & b
-
-
-def cardinality(a: Subset) -> int:
-    """Number of grades in the subset (0..5)."""
-    return len(a)
 
 
 def subsets_of(universe: Subset = FULL_SET) -> tuple[Subset, ...]:
@@ -309,18 +298,6 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     return validate_bpa(Bpa(masses, frame=frame))
 
 
-def bpa_to_json(b: Bpa) -> str:
-    return json.dumps(bpa_to_dict(b), indent=2)
-
-
-def bpa_from_json(text: str) -> Bpa:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid BPA JSON: {e}") from e
-    return bpa_from_dict(data)
-
-
 # --- indicator catalog -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -356,16 +333,3 @@ _BY_ID = {i.id: i for i in CATALOG}
 def indicator(indicator_id: str) -> Indicator:
     """Look up a catalog indicator by id; KeyError when unknown."""
     return _BY_ID[indicator_id]
-
-
-def catalog_to_json() -> str:
-    return json.dumps([{"id": i.id, "description": i.description} for i in CATALOG],
-                      indent=2)
-
-
-def catalog_from_json(text: str) -> tuple[Indicator, ...]:
-    try:
-        data = json.loads(text)
-        return tuple(Indicator(e["id"], e["description"]) for e in data)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ParseError(f"invalid catalog JSON: {e}") from e

@@ -63,7 +63,7 @@ class NoConvergence(EvicritError):
 
 
 class MissingRI(EvicritError):
-    """The random-index table has no entry for the requested order."""
+    """The random-index table has no usable entry for the requested order."""
 
 
 class ZeroColumn(EvicritError):
@@ -99,11 +99,11 @@ class ParseError(EvicritError):
 
 
 class MissingIndicator(EvicritError):
-    """An input file omits one or more catalog indicators."""
+    """An input file omits one or more indicators that the matrices file lists."""
 
 
 class UnknownIndicator(EvicritError):
-    """An input file references an indicator not in the catalog."""
+    """An input file names an indicator that the matrices file does not list."""
 
 
 class InconsistentMatrix(EvicritError):

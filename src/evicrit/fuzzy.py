@@ -144,22 +144,3 @@ def to_bpa(v: MembershipVector, alpha: float = 1.0,
     if not masses:
         return vacuous()
     return unit_normalized(masses)
-
-
-def discount(b: Bpa, alpha: float) -> Bpa:
-    """Scale every non-frame mass by ``alpha`` and push the rest to the frame.
-
-    m'(A) = alpha * m(A) for A != frame; m'(frame) = 1 - alpha + alpha * m(frame).
-    """
-    alpha = check_alpha(alpha)
-    theta = b.frame
-    masses: dict[Subset, float] = {}
-    for subset, mass in b.focal():
-        if subset != theta:
-            scaled = alpha * mass
-            if scaled > 0.0:
-                masses[subset] = scaled
-    masses[theta] = 1.0 - alpha + alpha * b.mass(theta)
-    if masses[theta] <= 0.0:
-        del masses[theta]
-    return unit_normalized(masses, frame=theta)

@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +32,7 @@ from .ahp import (
     aggregate_geometric,
     consistency,
 )
-from .core import (
-    CATALOG_IDS,
-    FRAME,
-    Bpa,
-    bpa_from_dict,
-    bpa_to_dict,
-)
+from .core import FRAME, Bpa, bpa_from_dict, bpa_to_dict
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -126,7 +120,7 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
 
@@ -138,12 +132,20 @@ def _read_json(path: str | Path):
         raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 
-def ingest_scores(path: str | Path) -> dict[str, float]:
-    """Read expert scores and average them per indicator, in catalog order.
+def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
+    missing = [i for i in ids if i not in found]
+    if missing:
+        raise MissingIndicator(f"{path}: no {what} for {', '.join(missing)}")
 
-    The file must cover every catalog indicator at least once and nothing
-    outside the catalog.
+
+def ingest_scores(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
+    """Read expert scores and average them per indicator, in ``ids`` order.
+
+    The file must score every id in ``ids`` at least once, nothing outside
+    ``ids``, and each (expert, indicator) pair at most once.
     """
+    known = set(ids)
+    first_line: dict[tuple[str, str], int] = {}
     reader = csv.reader(io.StringIO(_read_text(path)))
     header = next(reader, None)
     if header != ["expert_id", "indicator", "score"]:
@@ -155,10 +157,14 @@ def ingest_scores(path: str | Path) -> dict[str, float]:
             continue
         if len(row) != 3:
             raise ParseError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-        _, indicator_id, score_text = row
-        if indicator_id not in CATALOG_IDS:
+        expert_id, indicator_id, score_text = row
+        if indicator_id not in known:
             raise UnknownIndicator(f"{path}:{line_no}: unknown indicator "
                                    f"{indicator_id!r}")
+        seen_at = first_line.setdefault((expert_id, indicator_id), line_no)
+        if seen_at != line_no:
+            raise ParseError(f"{path}:{line_no}: expert {expert_id!r} already "
+                             f"scored {indicator_id} at line {seen_at}")
         try:
             value = float(score_text)
         except ValueError:
@@ -168,10 +174,8 @@ def ingest_scores(path: str | Path) -> dict[str, float]:
             raise ScoreOutOfRange(f"{path}:{line_no}: score {value!r} outside "
                                   f"[0, 10]")
         collected.setdefault(indicator_id, []).append(value)
-    missing = [i for i in CATALOG_IDS if i not in collected]
-    if missing:
-        raise MissingIndicator(f"{path}: no scores for {', '.join(missing)}")
-    return {i: math.fsum(collected[i]) / len(collected[i]) for i in CATALOG_IDS}
+    _check_covered(path, ids, collected, "scores")
+    return {i: math.fsum(collected[i]) / len(collected[i]) for i in ids}
 
 
 def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
@@ -191,12 +195,17 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
         raise ParseError(f'{path}: "experts" list is empty')
     n = len(ids)
     out: list[tuple[str, PairwiseMatrix]] = []
+    expert_ids: set[str] = set()
     for pos, entry in enumerate(experts):
         try:
             expert_id = str(entry["id"])
             rows = entry["matrix"]
         except (KeyError, TypeError):
             raise ParseError(f'{path}: experts[{pos}] needs "id" and "matrix"') from None
+        if expert_id in expert_ids:
+            raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
+                             f"{expert_id!r}")
+        expert_ids.add(expert_id)
         try:
             values = np.array(rows, dtype=float)
         except (TypeError, ValueError):
@@ -212,8 +221,13 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     return tuple(ids), out
 
 
-def ingest_priors(path: str | Path) -> dict[str, float]:
-    """Read per-indicator prior weights from `indicator,lambda` CSV."""
+def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
+    """Read per-indicator prior weights from `indicator,lambda` CSV.
+
+    The file must give exactly one prior for each id in ``ids`` and none
+    for any other id.
+    """
+    known = set(ids)
     reader = csv.reader(io.StringIO(_read_text(path)))
     header = next(reader, None)
     if header != ["indicator", "lambda"]:
@@ -225,6 +239,9 @@ def ingest_priors(path: str | Path) -> dict[str, float]:
         if len(row) != 2:
             raise ParseError(f"{path}:{line_no}: expected 2 columns, got {len(row)}")
         indicator_id, value_text = row
+        if indicator_id not in known:
+            raise UnknownIndicator(f"{path}:{line_no}: unknown indicator "
+                                   f"{indicator_id!r}")
         if indicator_id in priors:
             raise ParseError(f"{path}:{line_no}: duplicate prior for {indicator_id}")
         try:
@@ -232,47 +249,52 @@ def ingest_priors(path: str | Path) -> dict[str, float]:
         except ValueError:
             raise ParseError(f"{path}:{line_no}: prior {value_text!r} is not "
                              f"a number") from None
-    if not priors:
-        raise ParseError(f"{path}: no prior rows")
-    return priors
+    _check_covered(path, ids, priors, "prior")
+    return {i: priors[i] for i in ids}
 
 
 def load_ri_table(path: str | Path) -> dict[int, float]:
-    """Read a random-index override table: JSON object order -> RI."""
+    """The built-in random indices updated from a JSON object order -> RI.
+
+    Orders 1 and 2 may have RI 0; any higher order needs a positive finite
+    RI, because CR = CI / RI.
+    """
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: RI table must be a JSON object")
-    table: dict[int, float] = {}
+    table = dict(DEFAULT_RI)
     for key, value in doc.items():
         try:
             order = int(key)
             ri = float(value)
         except (TypeError, ValueError):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}") from None
-        if order < 1 or ri < 0.0 or math.isnan(ri):
+        if order < 1 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2)):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}")
         table[order] = ri
     return table
 
 
-def load_bpa_fixtures(path: str | Path) -> dict[str, Bpa]:
-    """Read per-indicator mass functions: JSON object indicator -> BPA."""
+def load_bpa_fixtures(path: str | Path, ids: Sequence[str]) -> dict[str, Bpa]:
+    """Read per-indicator mass functions: JSON object indicator -> BPA.
+
+    The object must have a key for each id in ``ids`` and no other key.
+    """
+    known = set(ids)
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: BPA fixtures must be a JSON object keyed "
                          f"by indicator id")
     out: dict[str, Bpa] = {}
     for indicator_id, cell in doc.items():
-        if indicator_id not in CATALOG_IDS:
+        if indicator_id not in known:
             raise UnknownIndicator(f"{path}: unknown indicator {indicator_id!r}")
         try:
             out[indicator_id] = bpa_from_dict(cell)
         except EvicritError as e:
             raise type(e)(f"{path}: {indicator_id}: {e}") from None
-    missing = [i for i in CATALOG_IDS if i not in out]
-    if missing:
-        raise MissingIndicator(f"{path}: no assignment for {', '.join(missing)}")
-    return out
+    _check_covered(path, ids, out, "assignment")
+    return {i: out[i] for i in ids}
 
 
 def load_bpa_list(path: str | Path) -> list[Bpa]:
@@ -291,11 +313,13 @@ def load_bpa_list(path: str | Path) -> list[Bpa]:
     return out
 
 
-def _digest(path: str | Path) -> str:
+def _input_record(path: str | Path) -> dict[str, str]:
+    """The manifest entry of an input file: its path and the SHA-256 of its bytes."""
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    return {"path": str(path), "sha256": digest}
 
 
 # --- manifest -----------------------------------------------------------------
@@ -378,31 +402,24 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     inputs: dict[str, dict] = {}
     with _stage("ingest", timings):
-        scores = ingest_scores(config.scores)
-        inputs["scores"] = {"path": str(config.scores),
-                            "sha256": _digest(config.scores)}
-        matrix_ids, experts = ingest_matrices(config.matrices)
-        inputs["matrices"] = {"path": str(config.matrices),
-                              "sha256": _digest(config.matrices)}
-        if tuple(matrix_ids) != CATALOG_IDS:
-            raise OrderMismatch(
-                f"{config.matrices}: indicator ids {list(matrix_ids)} do not "
-                f"match the catalog {list(CATALOG_IDS)}")
+        # the matrices file names the run's indicators; every other input
+        # must cover exactly those ids
+        ids, experts = ingest_matrices(config.matrices)
+        scores = ingest_scores(config.scores, ids)
+        inputs["scores"] = _input_record(config.scores)
+        inputs["matrices"] = _input_record(config.matrices)
         priors = None
         if config.priors is not None:
-            priors = ingest_priors(config.priors)
-            inputs["priors"] = {"path": str(config.priors),
-                                "sha256": _digest(config.priors)}
-        ri_table = dict(DEFAULT_RI)
+            priors = ingest_priors(config.priors, ids)
+            inputs["priors"] = _input_record(config.priors)
+        ri_table = None
         if config.ri_table is not None:
-            ri_table.update(load_ri_table(config.ri_table))
-            inputs["ri_table"] = {"path": str(config.ri_table),
-                                  "sha256": _digest(config.ri_table)}
+            ri_table = load_ri_table(config.ri_table)
+            inputs["ri_table"] = _input_record(config.ri_table)
         fixtures = None
         if config.bpa_fixtures is not None:
-            fixtures = load_bpa_fixtures(config.bpa_fixtures)
-            inputs["bpa_fixtures"] = {"path": str(config.bpa_fixtures),
-                                      "sha256": _digest(config.bpa_fixtures)}
+            fixtures = load_bpa_fixtures(config.bpa_fixtures, ids)
+            inputs["bpa_fixtures"] = _input_record(config.bpa_fixtures)
 
     with _stage("aggregate", timings):
         aggregated = aggregate_geometric([m for _, m in experts])
@@ -418,13 +435,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 report=report)
 
     with _stage("weighting", timings):
-        decision = DecisionMatrix(aggregated.values, matrix_ids)
+        decision = DecisionMatrix(aggregated.values, ids)
         table = build_table(decision, priors=priors)
 
     with _stage("fuzzify", timings):
         ratings = []
         bpas: dict[str, Bpa] = {}
-        for indicator_id in CATALOG_IDS:
+        for indicator_id in ids:
             v = membership(scores[indicator_id])
             ratings.append((indicator_id, scores[indicator_id],
                             rating_label(v).name))
@@ -435,9 +452,9 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                                             overlap_mode=config.overlap_mode)
 
     with _stage("fuse", timings):
-        window_ids = windows(CATALOG_IDS, config.window, config.stride)
+        window_ids = windows(ids, config.window, config.stride)
         window_results = tuple(
-            murphy_combine([bpas[i] for i in ids]) for ids in window_ids)
+            murphy_combine([bpas[i] for i in group]) for group in window_ids)
         overall = average_bpas([r.bpa for r in window_results])
 
     with _stage("rank", timings):

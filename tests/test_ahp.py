@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,16 @@ def test_consistency_missing_ri():
     m = random_reciprocal(rng, 5)
     with pytest.raises(errors.MissingRI):
         consistency(m, ri_table={3: 0.58})
+
+
+def test_consistency_rejects_nonpositive_ri():
+    rng = np.random.default_rng(8)
+    m = random_reciprocal(rng, 5)
+    for ri in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(errors.MissingRI):
+            consistency(m, ri_table={5: ri})
+    two = PairwiseMatrix(np.array([[1.0, 9.0], [1.0 / 9.0, 1.0]]))
+    assert consistency(two, ri_table={2: 0.0}).cr == 0.0
 
 
 def test_consistency_ri_override():

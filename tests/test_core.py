@@ -18,14 +18,8 @@ from evicrit.core import (
     Label,
     Subset,
     bpa_from_dict,
-    bpa_from_json,
     bpa_to_dict,
-    bpa_to_json,
-    cardinality,
-    catalog_from_json,
-    catalog_to_json,
     indicator,
-    intersect,
     parse_label,
     subsets_of,
     unit_normalized,
@@ -66,11 +60,9 @@ def test_subset_algebra():
     b = Subset.of(Label.M, Label.H)
     assert a & b == Subset.of(Label.M)
     assert a | b == Subset.of(Label.L, Label.M, Label.H)
-    assert intersect(a, b) == Subset.of(Label.M)
     assert (a & Subset.of(Label.VH)).is_empty()
     assert a.issubset(FULL_SET)
     assert not FULL_SET.issubset(a)
-    assert cardinality(FULL_SET) == 5
 
 
 def test_subsets_of_enumeration():
@@ -172,7 +164,7 @@ def test_validate_bpa_idempotent(masses):
 @settings(max_examples=200)
 def test_bpa_json_round_trip(masses):
     b = unit_normalized(masses)
-    back = bpa_from_json(bpa_to_json(b))
+    back = bpa_from_dict(json.loads(json.dumps(bpa_to_dict(b))))
     assert back == b
 
 
@@ -205,11 +197,3 @@ def test_catalog_shape():
     assert indicator("B8").description == "Pattern/Motif recognition"
     with pytest.raises(KeyError):
         indicator("B99")
-
-
-def test_catalog_json_round_trip():
-    text = catalog_to_json()
-    back = catalog_from_json(text)
-    assert back == CATALOG
-    parsed = json.loads(text)
-    assert parsed[0]["id"] == "B1"

@@ -11,7 +11,6 @@ from evicrit.fuzzy import (
     MembershipVector,
     check_alpha,
     check_score,
-    discount,
     membership,
     rating_label,
     to_bpa,
@@ -112,21 +111,6 @@ def test_to_bpa_zero_reliability():
 def test_to_bpa_rejects_unknown_mode():
     with pytest.raises(ValueError):
         to_bpa(membership(3.0), overlap_mode="both")
-
-
-def test_discount_known_value():
-    b = to_bpa(membership(7.5), alpha=1.0)   # m({H}) = 1
-    d = discount(b, 0.8)
-    assert d.mass(Subset.of(Label.H)) == pytest.approx(0.8, abs=1e-15)
-    assert d.mass(FULL_SET) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_discount_identity_and_vacuous_ends():
-    b = to_bpa(membership(6.25), alpha=0.8)
-    assert discount(b, 1.0) == b
-    assert discount(b, 0.0) == vacuous()
-    with pytest.raises(errors.DiscountOutOfRange):
-        discount(b, 1.5)
 
 
 _scores = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)

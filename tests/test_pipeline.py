@@ -28,7 +28,7 @@ from evicrit.pipeline import (
     run_pipeline,
     windows,
 )
-from evicrit.selftest import random_reciprocal
+from evicrit.selftest import consistent_matrix, random_reciprocal
 
 
 @pytest.fixture()
@@ -66,7 +66,7 @@ def test_windows_edges():
 # --- ingestion ---------------------------------------------------------------
 
 def test_ingest_scores_happy_path(inputs):
-    means = ingest_scores(inputs["scores.csv"])
+    means = ingest_scores(inputs["scores.csv"], CATALOG_IDS)
     assert tuple(means) == CATALOG_IDS
     assert means["B1"] == 5.0
     assert means["B2"] == 10.0
@@ -76,7 +76,7 @@ def test_ingest_scores_happy_path(inputs):
 def test_ingest_scores_rejects_bad_header(tmp_path):
     p = write(tmp_path / "s.csv", "expert,indicator,score\ne1,B1,5\n")
     with pytest.raises(errors.ParseError):
-        ingest_scores(p)
+        ingest_scores(p, CATALOG_IDS)
 
 
 def test_ingest_scores_out_of_range_names_line(tmp_path):
@@ -85,14 +85,14 @@ def test_ingest_scores_out_of_range_names_line(tmp_path):
     rows[3] = "e1,B3,11"
     p = write(tmp_path / "s.csv", "\n".join(rows) + "\n")
     with pytest.raises(errors.ScoreOutOfRange) as exc:
-        ingest_scores(p)
+        ingest_scores(p, CATALOG_IDS)
     assert ":4:" in str(exc.value)
 
 
 def test_ingest_scores_unknown_indicator(tmp_path):
     p = write(tmp_path / "s.csv", "expert_id,indicator,score\ne1,B99,5\n")
     with pytest.raises(errors.UnknownIndicator):
-        ingest_scores(p)
+        ingest_scores(p, CATALOG_IDS)
 
 
 def test_ingest_scores_missing_indicator(tmp_path):
@@ -100,14 +100,14 @@ def test_ingest_scores_missing_indicator(tmp_path):
     rows += [f"e1,{i},5" for i in CATALOG_IDS if i != "B14"]
     p = write(tmp_path / "s.csv", "\n".join(rows) + "\n")
     with pytest.raises(errors.MissingIndicator) as exc:
-        ingest_scores(p)
+        ingest_scores(p, CATALOG_IDS)
     assert "B14" in str(exc.value)
 
 
 def test_ingest_scores_non_numeric(tmp_path):
     p = write(tmp_path / "s.csv", "expert_id,indicator,score\ne1,B1,five\n")
     with pytest.raises(errors.ParseError):
-        ingest_scores(p)
+        ingest_scores(p, CATALOG_IDS)
 
 
 def test_ingest_matrices_happy_path(inputs):
@@ -144,12 +144,12 @@ def test_ingest_matrices_structure_errors(tmp_path):
 
 
 def test_ingest_priors(tmp_path, inputs):
-    priors = ingest_priors(inputs["priors.csv"])
+    priors = ingest_priors(inputs["priors.csv"], CATALOG_IDS)
     assert len(priors) == 14
     assert priors["B7"] == 0.4
     dup = write(tmp_path / "p.csv", "indicator,lambda\nB1,0.5\nB1,0.6\n")
     with pytest.raises(errors.ParseError):
-        ingest_priors(dup)
+        ingest_priors(dup, CATALOG_IDS)
 
 
 def test_load_ri_table(inputs, tmp_path):
@@ -159,16 +159,26 @@ def test_load_ri_table(inputs, tmp_path):
         load_ri_table(write(tmp_path / "ri.json", '{"three": 0.58}'))
     with pytest.raises(errors.ParseError):
         load_ri_table(write(tmp_path / "ri2.json", '{"3": -1.0}'))
+    # the built-in orders stay; an RI of 0 is only valid where CR is always 0
+    assert table[3] == 0.58
+    assert load_ri_table(write(tmp_path / "ri3.json", '{"2": 0}'))[2] == 0.0
+    for bad in ('{"14": 0}', '{"3": 0.0}', '{"14": Infinity}'):
+        with pytest.raises(errors.ParseError):
+            load_ri_table(write(tmp_path / "ri4.json", bad))
 
 
 def test_load_bpa_fixtures(tmp_path):
     doc = {i: {"frame": ["VL", "L", "M", "H", "VH"],
                "masses": [{"subset": ["H"], "mass": 1.0}]} for i in CATALOG_IDS}
-    fixtures = load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(doc)))
+    fixtures = load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(doc)), CATALOG_IDS)
     assert set(fixtures) == set(CATALOG_IDS)
+    backwards = CATALOG_IDS[::-1]
+    assert tuple(load_bpa_fixtures(tmp_path / "f.json", backwards)) == backwards
+    with pytest.raises(errors.UnknownIndicator):
+        load_bpa_fixtures(tmp_path / "f.json", CATALOG_IDS[:-1])
     del doc["B14"]
     with pytest.raises(errors.MissingIndicator):
-        load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)))
+        load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)), CATALOG_IDS)
 
 
 def test_load_bpa_fixtures_rejects_non_list_fields(tmp_path):
@@ -176,17 +186,65 @@ def test_load_bpa_fixtures_rejects_non_list_fields(tmp_path):
                "masses": [{"subset": ["H"], "mass": 1.0}]} for i in CATALOG_IDS}
     doc["B3"] = {"frame": ["H"], "masses": 5}
     with pytest.raises(errors.ParseError) as exc:
-        load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(doc)))
+        load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(doc)), CATALOG_IDS)
     assert "B3" in str(exc.value) and '"masses"' in str(exc.value)
     doc["B3"] = {"frame": 5, "masses": []}
     with pytest.raises(errors.ParseError) as exc:
-        load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)))
+        load_bpa_fixtures(write(tmp_path / "g.json", json.dumps(doc)), CATALOG_IDS)
     assert '"frame"' in str(exc.value)
 
 
 def test_missing_file_is_io_error():
     with pytest.raises(errors.IoError):
-        ingest_scores("/nonexistent/scores.csv")
+        ingest_scores("/nonexistent/scores.csv", CATALOG_IDS)
+
+
+def test_ingest_scores_rejects_duplicate_row(tmp_path, inputs):
+    text = inputs["scores.csv"].read_text()
+    first_row = text.splitlines()[1]
+    assert first_row.startswith("e1,B1,")
+    p = write(tmp_path / "s.csv", text + first_row + "\n")
+    last_line = len(text.splitlines()) + 1
+    with pytest.raises(errors.ParseError) as exc:
+        ingest_scores(p, CATALOG_IDS)
+    assert f":{last_line}:" in str(exc.value) and "line 2" in str(exc.value)
+
+
+def test_ingest_priors_covers_exactly_the_ids(tmp_path, inputs):
+    text = inputs["priors.csv"].read_text()
+    extra = write(tmp_path / "p.csv", text + "B99,0.5\n")
+    with pytest.raises(errors.UnknownIndicator) as exc:
+        ingest_priors(extra, CATALOG_IDS)
+    assert f":{len(text.splitlines()) + 1}:" in str(exc.value)
+    short = write(tmp_path / "q.csv", "".join(
+        line + "\n" for line in text.splitlines() if not line.startswith("B7,")))
+    with pytest.raises(errors.MissingIndicator) as exc:
+        ingest_priors(short, CATALOG_IDS)
+    assert "B7" in str(exc.value)
+    assert tuple(ingest_priors(inputs["priors.csv"], CATALOG_IDS[::-1])) == CATALOG_IDS[::-1]
+
+
+def test_ingest_matrices_rejects_duplicate_expert_id(tmp_path, inputs):
+    doc = json.loads(inputs["matrices.json"].read_text())
+    doc["experts"][1]["id"] = doc["experts"][0]["id"]
+    with pytest.raises(errors.ParseError) as exc:
+        ingest_matrices(write(tmp_path / "m.json", json.dumps(doc)))
+    assert "experts[1]" in str(exc.value)
+
+
+def test_inputs_with_byte_order_mark(tmp_path, inputs):
+    marked = {}
+    for name, path in inputs.items():
+        marked[name] = tmp_path / "bom" / name
+        marked[name].parent.mkdir(exist_ok=True)
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain = run_example(inputs).to_dict()
+    bom = run_example(marked).to_dict()
+    for key in ("consistency", "entropy_table", "ratings", "fusion", "rankings"):
+        assert bom[key] == plain[key]
+    # digests stay over the bytes on disk, mark included
+    for entry in bom["inputs"].values():
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
 
 
 # --- orchestration -----------------------------------------------------------
@@ -272,6 +330,63 @@ def test_run_pipeline_rejects_bad_config(inputs):
         run_example(inputs, fmt="yaml")
     with pytest.raises(errors.ConfigError):
         run_example(inputs, window=0)
+
+
+def test_run_pipeline_takes_ids_from_matrices(tmp_path):
+    ids = [f"T{j}" for j in range(1, 6)]
+    rng = np.random.default_rng(5)
+    matrices = {"indicators": ids,
+                "experts": [{"id": f"x{k}", "matrix": consistent_matrix(rng, 5).values.tolist()}
+                            for k in range(3)]}
+    scores = ["expert_id,indicator,score"]
+    scores += [f"x{k},{i},{(2 * k + j) % 11}" for k in range(3) for j, i in enumerate(ids)]
+    priors = ["indicator,lambda"] + [f"{i},0.{j}" for j, i in enumerate(ids, start=1)]
+    out = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig(
+        scores=write(tmp_path / "scores.csv", "\n".join(scores) + "\n"),
+        matrices=write(tmp_path / "matrices.json", json.dumps(matrices)),
+        priors=write(tmp_path / "priors.csv", "\n".join(priors) + "\n"),
+        ri_table=write(tmp_path / "ri.json", '{"5": 1.11}'),
+        window=2, stride=1, out_dir=out, fmt="csv"))
+    assert manifest.consistency_report.ri == 1.11
+    assert manifest.consistency_report.acceptable
+    assert manifest.entropy_table.ids == tuple(ids)
+    assert [i for i, _, _ in manifest.ratings] == ids
+    assert manifest.window_ids == tuple(zip(ids, ids[1:]))
+    assert (out / "ratings.csv").read_text().splitlines()[1].startswith("T1,")
+    assert len((out / "fusion.csv").read_text().splitlines()) == 6  # header, 4 windows, average
+
+
+def test_run_pipeline_follows_matrices_order(tmp_path, inputs):
+    doc = json.loads(inputs["matrices.json"].read_text())
+    order = [5, 0, 13, 2, 9, 1, 12, 7, 3, 11, 4, 10, 6, 8]
+    doc["indicators"] = [doc["indicators"][j] for j in order]
+    for expert in doc["experts"]:
+        m = np.array(expert["matrix"])
+        expert["matrix"] = m[np.ix_(order, order)].tolist()
+    reordered = run_example(inputs, matrices=write(tmp_path / "m.json", json.dumps(doc)))
+    ids = tuple(doc["indicators"])
+    assert reordered.entropy_table.ids == ids
+    assert tuple(i for i, _, _ in reordered.ratings) == ids
+    assert reordered.window_ids == windows(ids, 4, 2)
+    assert reordered.window_ids[0] == ("B6", "B1", "B14", "B3")
+    plain = run_example(inputs)
+    weights = dict(zip(plain.entropy_table.ids, plain.entropy_table.weights))
+    for i, w in zip(reordered.entropy_table.ids, reordered.entropy_table.weights):
+        assert w == pytest.approx(weights[i], rel=1e-12)
+    assert sorted(reordered.ratings) == sorted(plain.ratings)
+
+
+def test_run_pipeline_rejects_zero_ri(tmp_path, inputs):
+    # an RI of 0 would make CR = 0 and let any matrix through the gate
+    rng = np.random.default_rng(33)
+    doc = {"indicators": list(CATALOG_IDS),
+           "experts": [{"id": "e1", "matrix": random_reciprocal(rng, 14).values.tolist()}]}
+    wild = write(tmp_path / "wild.json", json.dumps(doc))
+    zero = write(tmp_path / "ri.json", '{"14": 0}')
+    with pytest.raises(errors.ParseError) as exc:
+        run_example(inputs, matrices=wild, ri_table=zero)
+    assert exc.value.stage == "ingest"
 
 
 def fusion_digest(manifest):
