@@ -13,18 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ._version import __version__
 from .ahp import CI_DENOMINATOR_MODES, aggregate_geometric, consistency
-from .core import bpa_to_dict
 from .entropy import DecisionMatrix, build_table
 from .errors import EvicritError, InconsistentMatrix, IoError
-from .evidence import murphy_combine, pignistic
-from .fuzzy import OVERLAP_ADJACENT, OVERLAP_MODES
+from .evidence import murphy_combine
+from .fuzzy import OVERLAP_MODES
 from .pipeline import (
     REPORT_FORMATS,
     PipelineConfig,
+    fused_masses,
     ingest_matrices,
     ingest_priors,
     load_bpa_list,
@@ -66,23 +67,24 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--bpa-fixtures",
                     help="JSON of per-indicator mass functions; replaces "
                          "score fuzzification in the fusion stage")
-    ev.add_argument("--alpha", type=float, default=1.0,
-                    help="evidence reliability in [0,1] (default 1.0)")
+    ev.add_argument("--alpha", type=float, default=PipelineConfig.alpha,
+                    help="evidence reliability in [0,1] (default %(default)s)")
     ev.add_argument("--overlap-mode", choices=OVERLAP_MODES,
-                    default=OVERLAP_ADJACENT,
+                    default=PipelineConfig.overlap_mode,
                     help="where held-back mass goes: the active adjacent "
                          "pair, or always the whole frame")
     ev.add_argument("--ci-denominator", choices=CI_DENOMINATOR_MODES,
-                    default="paper", help="CI denominator: n or n-1")
+                    default=PipelineConfig.ci_denominator,
+                    help="CI denominator: n or n-1")
     ev.add_argument("--ri-table",
                     help="JSON random-index overrides (order -> RI)")
-    ev.add_argument("--window", type=int, default=4,
-                    help="fusion window width (default 4)")
-    ev.add_argument("--stride", type=int, default=2,
-                    help="fusion window stride (default 2)")
+    ev.add_argument("--window", type=int, default=PipelineConfig.window,
+                    help="fusion window width (default %(default)s)")
+    ev.add_argument("--stride", type=int, default=PipelineConfig.stride,
+                    help="fusion window stride (default %(default)s)")
     ev.add_argument("--out-dir", help="directory for manifest and report files")
-    ev.add_argument("--format", choices=REPORT_FORMATS, default="text",
-                    dest="fmt", help="report format (default text)")
+    ev.add_argument("--format", choices=REPORT_FORMATS, default=PipelineConfig.fmt,
+                    dest="fmt", help="report format (default %(default)s)")
     ev.add_argument("--chart", help="write a grouped-bar SVG to this path")
     ev.add_argument("--force", action="store_true",
                     help="proceed past a failed consistency gate")
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("consistency", help="aggregate matrices and gate them")
     co.add_argument("--matrices", required=True)
     co.add_argument("--ci-denominator", choices=CI_DENOMINATOR_MODES,
-                    default="paper")
+                    default=PipelineConfig.ci_denominator)
     co.add_argument("--ri-table")
 
     we = sub.add_parser("weights", help="entropy weighting of the aggregated matrix")
@@ -109,13 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evaluate(args) -> int:
-    config = PipelineConfig(
-        scores=args.scores, matrices=args.matrices, priors=args.priors,
-        bpa_fixtures=args.bpa_fixtures, alpha=args.alpha,
-        overlap_mode=args.overlap_mode, ci_denominator=args.ci_denominator,
-        ri_table=args.ri_table, window=args.window, stride=args.stride,
-        force=args.force, out_dir=args.out_dir, fmt=args.fmt, chart=args.chart)
-    manifest = run_pipeline(config)
+    manifest = run_pipeline(PipelineConfig(
+        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}))
     rep = manifest.consistency_report
     print(f"consistency: CR={rep.cr:.4f} ({rep.denominator_mode}) "
           f"acceptable={'yes' if rep.acceptable else 'no (forced)'}")
@@ -161,11 +158,7 @@ def _cmd_weights(args) -> int:
 def _cmd_fuse(args) -> int:
     bpas = load_bpa_list(args.bpas)
     result = murphy_combine(bpas)
-    doc = {
-        "conflict_k": result.conflict_k,
-        "masses": bpa_to_dict(result.bpa)["masses"],
-        "betp": {l.name: p for l, p in pignistic(result.bpa).items()},
-    }
+    doc = {"conflict_k": result.conflict_k, **fused_masses(result.bpa)}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         _atomic_write(Path(args.out), text)

@@ -51,7 +51,7 @@ def parse_label(name: str) -> Label:
     """Parse a grade name ("VL", "L", "M", "H", "VH")."""
     try:
         return Label[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParseError(f"unknown grade name {name!r}; expected one of "
                          + ", ".join(l.name for l in FRAME)) from None
 
@@ -287,15 +287,17 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     if not isinstance(entries, list):
         raise ParseError('"masses" must be a list of subset/mass entries')
     frame = Subset.from_names(frame_names)
-    masses: dict[Subset, float] = {}
+    pairs = []
     for pos, entry in enumerate(entries):
         try:
-            subset = Subset.from_names(entry["subset"])
+            names = entry["subset"]
             mass = float(entry["mass"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError(f'masses[{pos}] needs "subset" and numeric "mass"') from None
-        masses[subset] = masses.get(subset, 0.0) + mass
-    return validate_bpa(Bpa(masses, frame=frame))
+        if not isinstance(names, list):
+            raise ParseError(f'masses[{pos}]: "subset" must be a list of grade names')
+        pairs.append((Subset.from_names(names), mass))
+    return validate_bpa(Bpa(pairs, frame=frame))
 
 
 # --- indicator catalog -------------------------------------------------------

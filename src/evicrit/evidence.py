@@ -208,10 +208,14 @@ def rank(values: Mapping[str, float], note: str = "",
     """Rank ids by descending value.
 
     Ties fall back to id order: positions in ``tie_order`` when given,
-    otherwise natural id order (B2 before B10).
+    otherwise natural id order (B2 before B10).  A NaN value raises
+    ValueError, because it has no place in the order.
     """
     if len(values) == 0:
         raise EmptyInput("nothing to rank")
+    for identifier, value in values.items():
+        if math.isnan(value):
+            raise ValueError(f"cannot rank {identifier!r}: its value is NaN")
     if tie_order is not None:
         positions = {identifier: pos for pos, identifier in enumerate(tie_order)}
         def tie_key(identifier: str):

@@ -80,27 +80,10 @@ class MembershipVector:
 def membership(x: float) -> MembershipVector:
     """Evaluate all five grade memberships at a score in [0, 10]."""
     x = check_score(x)
-    vl = max(0.0, -SLOPE * x + 1.0) if x <= 2.5 else 0.0
-    if x <= 2.5:
-        l = max(0.0, SLOPE * x)
-    elif x <= 5.0:
-        l = max(0.0, -SLOPE * x + 2.0)
-    else:
-        l = 0.0
-    if 2.5 <= x <= 5.0:
-        m = max(0.0, SLOPE * x - 1.0)
-    elif 5.0 < x <= 7.5:
-        m = max(0.0, -SLOPE * x + 3.0)
-    else:
-        m = 0.0
-    if 5.0 <= x <= 7.5:
-        h = max(0.0, SLOPE * x - 2.0)
-    elif 7.5 < x <= 10.0:
-        h = max(0.0, -SLOPE * x + 4.0)
-    else:
-        h = 0.0
-    vh = max(0.0, SLOPE * x - 3.0) if x >= 7.5 else 0.0
-    return MembershipVector((vl, l, m, h, vh))
+    return MembershipVector(tuple([
+        max(0.0, SLOPE * x - (SLOPE * peak - 1.0)) if x <= peak
+        else max(0.0, -SLOPE * x + (SLOPE * peak + 1.0))
+        for peak in map(GRADE_PEAKS.__getitem__, FRAME)]))
 
 
 def rating_label(v: MembershipVector) -> Label:

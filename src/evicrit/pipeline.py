@@ -43,7 +43,6 @@ from .errors import (
     MissingIndicator,
     OrderMismatch,
     ParseError,
-    ScoreOutOfRange,
     UnknownIndicator,
 )
 from .evidence import CombinationResult, average_bpas, murphy_combine, pignistic, rank
@@ -51,6 +50,7 @@ from .fuzzy import (
     OVERLAP_ADJACENT,
     OVERLAP_MODES,
     check_alpha,
+    check_score,
     membership,
     rating_label,
     to_bpa,
@@ -119,17 +119,75 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
 # --- ingestion ----------------------------------------------------------------
 
 def _read_text(path: str | Path) -> str:
+    """The file's UTF-8 text without a leading BOM, newlines translated to "\\n"."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start}: not UTF-8 ({e.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"repeated key {repeated!r}")
+    return doc
 
 
 def _read_json(path: str | Path):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{path}: invalid JSON: {e}") from None
+
+
+def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str,
+              parse=float):
+    """Yield (line, row, value) for each nonblank row after ``header``.
+
+    Each row has the header's width, an id from ``ids`` in its next-to-last
+    column and a number (the row's ``what``) in its last, which ``parse``
+    turns into ``value``; ``line`` is the line on which the row ends.
+    """
+    known = set(ids)
+    width = len(header)
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        first = next(reader, None)
+        if first != header:
+            raise ParseError(f"{path}: expected header {','.join(header)}, "
+                             f"got {first}")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise ParseError(f"{path}:{line}: expected {width} columns, "
+                                 f"got {len(row)}")
+            if row[-2] not in known:
+                raise UnknownIndicator(f"{path}:{line}: unknown indicator "
+                                       f"{row[-2]!r}")
+            try:
+                value = parse(row[-1])
+            except ValueError:
+                raise ParseError(f"{path}:{line}: {what} {row[-1]!r} is not "
+                                 f"a number") from None
+            except EvicritError as e:
+                raise type(e)(f"{path}:{line}: {e}") from None
+            yield line, row, value
+    except csv.Error as e:
+        raise ParseError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
@@ -144,35 +202,14 @@ def ingest_scores(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     The file must score every id in ``ids`` at least once, nothing outside
     ``ids``, and each (expert, indicator) pair at most once.
     """
-    known = set(ids)
     first_line: dict[tuple[str, str], int] = {}
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(reader, None)
-    if header != ["expert_id", "indicator", "score"]:
-        raise ParseError(f"{path}: expected header expert_id,indicator,score, "
-                         f"got {header}")
     collected: dict[str, list[float]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-        expert_id, indicator_id, score_text = row
-        if indicator_id not in known:
-            raise UnknownIndicator(f"{path}:{line_no}: unknown indicator "
-                                   f"{indicator_id!r}")
-        seen_at = first_line.setdefault((expert_id, indicator_id), line_no)
-        if seen_at != line_no:
-            raise ParseError(f"{path}:{line_no}: expert {expert_id!r} already "
+    for line, (expert_id, indicator_id, _), value in _csv_rows(
+            path, ["expert_id", "indicator", "score"], ids, "score", check_score):
+        seen_at = first_line.setdefault((expert_id, indicator_id), line)
+        if seen_at != line:
+            raise ParseError(f"{path}:{line}: expert {expert_id!r} already "
                              f"scored {indicator_id} at line {seen_at}")
-        try:
-            value = float(score_text)
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: score {score_text!r} is not "
-                             f"a number") from None
-        if math.isnan(value) or not 0.0 <= value <= 10.0:
-            raise ScoreOutOfRange(f"{path}:{line_no}: score {value!r} outside "
-                                  f"[0, 10]")
         collected.setdefault(indicator_id, []).append(value)
     _check_covered(path, ids, collected, "scores")
     return {i: math.fsum(collected[i]) / len(collected[i]) for i in ids}
@@ -183,16 +220,17 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     """Read expert pairwise matrices: (indicator ids, [(expert id, matrix)])."""
     doc = _read_json(path)
     try:
-        ids = list(doc["indicators"])
-        experts = list(doc["experts"])
+        ids = doc["indicators"]
+        experts = doc["experts"]
     except (KeyError, TypeError):
         raise ParseError(f'{path}: needs "indicators" and "experts" keys') from None
-    if not ids or not all(isinstance(i, str) for i in ids):
+    if (not isinstance(ids, list) or not ids
+            or not all(isinstance(i, str) for i in ids)):
         raise ParseError(f'{path}: "indicators" must be a nonempty list of ids')
     if len(set(ids)) != len(ids):
         raise ParseError(f'{path}: duplicate indicator ids')
-    if not experts:
-        raise ParseError(f'{path}: "experts" list is empty')
+    if not isinstance(experts, list) or not experts:
+        raise ParseError(f'{path}: "experts" must be a nonempty list')
     n = len(ids)
     out: list[tuple[str, PairwiseMatrix]] = []
     expert_ids: set[str] = set()
@@ -208,7 +246,7 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
         expert_ids.add(expert_id)
         try:
             values = np.array(rows, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{path}: expert {entry.get('id', pos)!r}: matrix "
                              f"is not rectangular numeric") from None
         if values.shape != (n, n):
@@ -227,28 +265,12 @@ def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     The file must give exactly one prior for each id in ``ids`` and none
     for any other id.
     """
-    known = set(ids)
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(reader, None)
-    if header != ["indicator", "lambda"]:
-        raise ParseError(f"{path}: expected header indicator,lambda, got {header}")
     priors: dict[str, float] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"{path}:{line_no}: expected 2 columns, got {len(row)}")
-        indicator_id, value_text = row
-        if indicator_id not in known:
-            raise UnknownIndicator(f"{path}:{line_no}: unknown indicator "
-                                   f"{indicator_id!r}")
+    for line, (indicator_id, _), value in _csv_rows(
+            path, ["indicator", "lambda"], ids, "prior"):
         if indicator_id in priors:
-            raise ParseError(f"{path}:{line_no}: duplicate prior for {indicator_id}")
-        try:
-            priors[indicator_id] = float(value_text)
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: prior {value_text!r} is not "
-                             f"a number") from None
+            raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
+        priors[indicator_id] = value
     _check_covered(path, ids, priors, "prior")
     return {i: priors[i] for i in ids}
 
@@ -267,12 +289,20 @@ def load_ri_table(path: str | Path) -> dict[int, float]:
         try:
             order = int(key)
             ri = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}") from None
         if order < 1 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2)):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}")
         table[order] = ri
     return table
+
+
+def _bpa_cell(path: str | Path, where: str, cell) -> Bpa:
+    """``bpa_from_dict(cell)``, its errors located at ``where`` in ``path``."""
+    try:
+        return bpa_from_dict(cell)
+    except EvicritError as e:
+        raise type(e)(f"{path}: {where}: {e}") from None
 
 
 def load_bpa_fixtures(path: str | Path, ids: Sequence[str]) -> dict[str, Bpa]:
@@ -289,10 +319,7 @@ def load_bpa_fixtures(path: str | Path, ids: Sequence[str]) -> dict[str, Bpa]:
     for indicator_id, cell in doc.items():
         if indicator_id not in known:
             raise UnknownIndicator(f"{path}: unknown indicator {indicator_id!r}")
-        try:
-            out[indicator_id] = bpa_from_dict(cell)
-        except EvicritError as e:
-            raise type(e)(f"{path}: {indicator_id}: {e}") from None
+        out[indicator_id] = _bpa_cell(path, indicator_id, cell)
     _check_covered(path, ids, out, "assignment")
     return {i: out[i] for i in ids}
 
@@ -304,13 +331,7 @@ def load_bpa_list(path: str | Path) -> list[Bpa]:
         doc = doc["bpas"]
     if not isinstance(doc, list) or not doc:
         raise ParseError(f"{path}: expected a nonempty list of BPA objects")
-    out = []
-    for pos, cell in enumerate(doc):
-        try:
-            out.append(bpa_from_dict(cell))
-        except EvicritError as e:
-            raise type(e)(f"{path}: bpas[{pos}]: {e}") from None
-    return out
+    return [_bpa_cell(path, f"bpas[{pos}]", cell) for pos, cell in enumerate(doc)]
 
 
 def _input_record(path: str | Path) -> dict[str, str]:
@@ -323,6 +344,12 @@ def _input_record(path: str | Path) -> dict[str, str]:
 
 
 # --- manifest -----------------------------------------------------------------
+
+def fused_masses(b: Bpa) -> dict:
+    """JSON form of a fused mass function: its focal masses and BetP."""
+    return {"masses": bpa_to_dict(b)["masses"],
+            "betp": {l.name: p for l, p in pignistic(b).items()}}
+
 
 @dataclass
 class RunManifest:
@@ -341,14 +368,6 @@ class RunManifest:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        fusion_windows = []
-        for ids, result in zip(self.window_ids, self.window_results):
-            fusion_windows.append({
-                "indicators": list(ids),
-                "conflict_k": result.conflict_k,
-                "masses": bpa_to_dict(result.bpa)["masses"],
-                "betp": {l.name: p for l, p in pignistic(result.bpa).items()},
-            })
         return {
             "version": self.version,
             "inputs": self.inputs,
@@ -358,11 +377,12 @@ class RunManifest:
             "ratings": [{"indicator": i, "score": s, "label": l}
                         for i, s, l in self.ratings],
             "fusion": {
-                "windows": fusion_windows,
-                "average": {
-                    "masses": bpa_to_dict(self.overall)["masses"],
-                    "betp": {l.name: p for l, p in pignistic(self.overall).items()},
-                },
+                "windows": [{"indicators": list(ids),
+                             "conflict_k": result.conflict_k,
+                             **fused_masses(result.bpa)}
+                            for ids, result in zip(self.window_ids,
+                                                   self.window_results)],
+                "average": fused_masses(self.overall),
             },
             "rankings": {key: report.to_dict()
                          for key, report in self.rankings.items()},
@@ -495,15 +515,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         timings=timings,
     )
 
-    if config.out_dir is not None:
-        with _stage("emit", timings):
+    with _stage("emit", timings):
+        if config.out_dir is not None:
             out_dir = Path(config.out_dir)
             report_mod.write_manifest(manifest, out_dir / "manifest.json")
             report_mod.emit_report(manifest, config.fmt, out_dir)
-            if config.chart is not None:
-                report_mod.emit_chart(manifest, config.chart)
-    elif config.chart is not None:
-        with _stage("emit", timings):
+        if config.chart is not None:
             report_mod.emit_chart(manifest, config.chart)
 
     return manifest

@@ -1,22 +1,25 @@
 """Report and chart emission.
 
 Renders the manifest's tables as text, CSV, or JSON files plus an optional
-grouped-bar SVG.  All writes go to a temporary sibling first and are
-renamed into place, so a failed run never leaves a partial file.  Identical
+grouped-bar SVG.  Each write goes to a uniquely named temporary sibling
+first and is renamed into place, so a failed run never leaves a partial
+file and two runs into one directory never share a temporary file.  Identical
 manifests produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import secrets
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import FRAME, FULL_SET, Bpa, Label, Subset, indicator
+from .core import FRAME, FULL_SET, Bpa, Subset, indicator
 from .errors import IoError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,15 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: the mass columns of the fusion table: singletons, adjacent pairs, frame
 FUSION_COLUMNS: tuple[tuple[str, Subset], ...] = (
-    ("VL", Subset.of(Label.VL)),
-    ("L", Subset.of(Label.L)),
-    ("M", Subset.of(Label.M)),
-    ("H", Subset.of(Label.H)),
-    ("VH", Subset.of(Label.VH)),
-    ("VL+L", Subset.of(Label.VL, Label.L)),
-    ("L+M", Subset.of(Label.L, Label.M)),
-    ("M+H", Subset.of(Label.M, Label.H)),
-    ("H+VH", Subset.of(Label.H, Label.VH)),
+    *((label.name, Subset.of(label)) for label in FRAME),
+    *((f"{a.name}+{b.name}", Subset.of(a, b)) for a, b in zip(FRAME, FRAME[1:])),
     ("theta", FULL_SET),
 )
 
@@ -42,16 +38,17 @@ _CHART_COLORS = ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")
 
 def _atomic_write(path: str | Path, data: str) -> Path:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    # a random name created exclusively, so concurrent writers never share
+    # it; unlike mkstemp's 0600 file it gets the mode the umask gives
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(data, encoding="utf-8")
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(data)
         os.replace(tmp, path)
     except OSError as e:
-        try:
+        with contextlib.suppress(OSError):
             tmp.unlink()
-        except OSError:
-            pass
         raise IoError(f"cannot write {path}: {e}") from e
     return path
 
@@ -67,10 +64,6 @@ def _fusion_row_values(b: Bpa) -> list[float]:
     other = math.fsum(m for s, m in b.focal() if s not in listed)
     values.append(other)
     return values
-
-
-def _window_label(ids, sep: str) -> str:
-    return sep.join(ids)
 
 
 # --- text rendering -----------------------------------------------------------
@@ -110,7 +103,7 @@ def _render_text(manifest: "RunManifest") -> str:
     out.write("\n")
 
     out.write("Fusion\n")
-    labels = [_window_label(ids, ", ") for ids in manifest.window_ids]
+    labels = [", ".join(ids) for ids in manifest.window_ids]
     label_width = max(len("combination"), max((len(l) for l in labels), default=0),
                       len("Average")) + 2
     head = f"  {'combination':<{label_width}}"
@@ -155,7 +148,7 @@ def _render_fusion_csv(manifest: "RunManifest") -> str:
     writer.writerow(("window", *(name for name, _ in FUSION_COLUMNS),
                      "other", "conflict_k"))
     for ids, result in zip(manifest.window_ids, manifest.window_results):
-        writer.writerow((_window_label(ids, "+"),
+        writer.writerow(("+".join(ids),
                          *(repr(v) for v in _fusion_row_values(result.bpa)),
                          repr(result.conflict_k)))
     writer.writerow(("Average",

@@ -181,6 +181,11 @@ def test_rank_empty():
         rank({})
 
 
+def test_rank_rejects_nan():
+    with pytest.raises(ValueError, match="'b'"):
+        rank({"a": 0.5, "b": math.nan, "c": 0.7})
+
+
 def test_ranking_report_to_dict():
     d = rank({"a": 1.0, "b": 0.5}, note="demo").to_dict()
     assert d["top"] == "a" and d["bottom"] == "b" and d["note"] == "demo"

@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from evicrit import errors
 from evicrit.core import FULL_SET, Label, Subset, vacuous
 from evicrit.fuzzy import (
     GRADE_PEAKS,
+    SLOPE,
     MembershipVector,
     check_alpha,
     check_score,
@@ -38,6 +41,47 @@ def test_peaks_are_exact():
         assert v[label] == 1.0
         assert v.active() == ((label, 1.0),)
         assert rating_label(v) is label
+
+
+def piecewise_membership(x):
+    """The grade breakpoints written out by hand: the reference for membership()."""
+    vl = max(0.0, -SLOPE * x + 1.0) if x <= 2.5 else 0.0
+    if x <= 2.5:
+        l = max(0.0, SLOPE * x)
+    elif x <= 5.0:
+        l = max(0.0, -SLOPE * x + 2.0)
+    else:
+        l = 0.0
+    if 2.5 <= x <= 5.0:
+        m = max(0.0, SLOPE * x - 1.0)
+    elif 5.0 < x <= 7.5:
+        m = max(0.0, -SLOPE * x + 3.0)
+    else:
+        m = 0.0
+    if 5.0 <= x <= 7.5:
+        h = max(0.0, SLOPE * x - 2.0)
+    elif 7.5 < x <= 10.0:
+        h = max(0.0, -SLOPE * x + 4.0)
+    else:
+        h = 0.0
+    vh = max(0.0, SLOPE * x - 3.0) if x >= 7.5 else 0.0
+    return (vl, l, m, h, vh)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_membership_matches_piecewise_reference_bit_for_bit():
+    grid = set(np.linspace(0.0, 10.0, 10_001).tolist())
+    for quarter in range(41):
+        x = below = above = quarter / 4
+        grid.add(x)
+        for _ in range(64):
+            below, above = math.nextafter(below, -1.0), math.nextafter(above, 11.0)
+            grid.update(v for v in (below, above) if 0.0 <= v <= 10.0)
+    for x in sorted(grid):
+        assert _bits(membership(x).values) == _bits(piecewise_membership(x)), x
 
 
 def test_midpoints_split_evenly():

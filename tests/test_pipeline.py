@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from evicrit.datasets import (
     reference_weights,
 )
 from evicrit.entropy import EntropyTable
+from evicrit.report import _atomic_write
 from evicrit.pipeline import (
     PipelineConfig,
     ingest_matrices,
@@ -264,8 +266,8 @@ def test_run_pipeline_reference_verdicts(inputs):
     assert len(manifest.window_ids) == 6
     assert manifest.config["score_aggregation"] == "mean"
     assert manifest.config["bpa_source"] == "scores"
-    assert set(manifest.timings) >= {"ingest", "aggregate", "consistency",
-                                     "weighting", "fuzzify", "fuse", "rank"}
+    assert set(manifest.timings) == {"ingest", "aggregate", "consistency",
+                                     "weighting", "fuzzify", "fuse", "rank", "emit"}
 
 
 def test_run_pipeline_matches_reference_tables(inputs):
@@ -439,6 +441,23 @@ def test_emitted_files_and_round_trips(inputs, tmp_path):
     assert parsed["version"] == manifest.version
     svg = (tmp_path / "fig.svg").read_text()
     assert svg.count('class="bar"') == 70
+
+
+def test_writes_use_unique_temp_files(inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json.tmp").mkdir(parents=True)
+    assert cli.run(["evaluate", *cli_inputs(inputs), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "manifest.json.tmp", "report.txt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (out / "report.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+    # a failed rename removes its temp file
+    with pytest.raises(errors.IoError):
+        _atomic_write(out / "manifest.json.tmp", "x")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "manifest.json.tmp", "report.txt"]
 
 
 def test_chart_bytes_are_deterministic(inputs, tmp_path):
