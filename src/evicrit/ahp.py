@@ -53,11 +53,13 @@ class PairwiseMatrix:
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise InvalidMatrix("all entries must be positive finite reals")
         for i in range(n):
-            for j in range(i, n):
-                if abs(a[i, j] * a[j, i] - 1.0) > RECIPROCITY_TOL:
+            # Python floats: a product of two huge cells is inf without a warning
+            pairs = zip(a[i, i:].tolist(), a[i:, i].tolist())
+            for j, (upper, lower) in enumerate(pairs, start=i):
+                if abs(upper * lower - 1.0) > RECIPROCITY_TOL:
                     raise InvalidMatrix(
                         f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
-                        f"{a[i, j]!r} * {a[j, i]!r} != 1")
+                        f"{upper!r} * {lower!r} != 1")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
@@ -118,29 +120,28 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     return PairwiseMatrix(mean)
 
 
-def principal_eigenvalue(m: PairwiseMatrix, tol: float = 1e-12,
-                         max_iter: int = 10_000) -> float:
+def principal_eigenvalue(m: PairwiseMatrix) -> float:
     """Dominant eigenvalue of a positive matrix by power iteration.
 
     Starts from the uniform vector and stops when successive eigenvalue
-    estimates differ by at most ``tol``.  Positive matrices have a simple
-    dominant eigenvalue, so the iteration converges; hitting the cap is
-    reported as an error carrying the last estimate.
+    estimates differ by at most 1e-12.  Positive matrices have a simple
+    dominant eigenvalue, so the iteration converges; hitting the cap of
+    10,000 steps is reported as an error carrying the last estimate.
     """
     a = m.values
     n = m.order
     x = np.full(n, 1.0 / n)
     estimate = math.inf
-    for _ in range(max_iter):
+    for _ in range(10_000):
         y = a @ x
         total = float(y.sum())
         new_estimate = total  # x sums to 1 and stays positive
         x = y / total
-        if abs(new_estimate - estimate) <= tol:
+        if abs(new_estimate - estimate) <= 1e-12:
             return new_estimate
         estimate = new_estimate
     raise NoConvergence(
-        f"power iteration did not converge in {max_iter} iterations "
+        "power iteration did not converge in 10000 iterations "
         f"(last estimate {estimate!r})", last_estimate=estimate)
 
 

@@ -3,8 +3,8 @@ the fourteen-indicator catalog whose descriptions the text report shows.
 
 All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
-are deterministic (always grade order).  A mass function is a vector with
-one slot per subset, indexed by its bits.
+are deterministic (always grade order).  Every mass function lives on that
+frame: a vector with one slot per subset, indexed by its bits.
 """
 
 from __future__ import annotations
@@ -118,19 +118,6 @@ EMPTY_SET = Subset(0)
 FULL_SET = Subset.of(*FRAME)
 
 
-def subsets_of(universe: Subset = FULL_SET) -> tuple[Subset, ...]:
-    """All subsets of ``universe``, the empty set first, in bitmask order."""
-    mask = universe.bits
-    out = []
-    sub = 0
-    while True:
-        out.append(Subset(sub))
-        if sub == mask:
-            break
-        sub = (sub - mask) & mask
-    return tuple(out)
-
-
 #: number of mass slots: one per subset of the frame, indexed by its bits
 SLOTS = 1 << len(FRAME)
 #: the Subset held in each slot
@@ -141,6 +128,11 @@ CANONICAL_ORDER: tuple[int, ...] = tuple(
 #: AND_TABLE[a, b] is the slot of the intersection of slots a and b
 AND_TABLE = np.bitwise_and.outer(np.arange(SLOTS), np.arange(SLOTS))
 AND_TABLE.setflags(write=False)
+
+
+def subsets_of() -> tuple[Subset, ...]:
+    """All subsets of the frame, the empty set first, in bitmask order."""
+    return SUBSETS
 
 
 def _mass_list(items: Iterable[tuple[Subset, float]]) -> list[float]:
@@ -157,14 +149,15 @@ class Bpa:
     The masses live in one read-only float64 vector of ``SLOTS`` entries;
     slot ``i`` holds the mass of ``Subset(i)``.  Given (subset, mass) pairs,
     the constructor adds up duplicates in input order; given a slot vector,
-    it keeps that array and makes it read-only.  ``frame`` is the subset
-    acting as the frame of discernment; masses may only sit on its subsets.
+    it keeps that array and makes it read-only.  Every mass function lives
+    on the five-grade frame; one defined on fewer grades is the same vector
+    with no mass on subsets outside them.
     """
 
-    __slots__ = ("vector", "frame")
+    __slots__ = ("vector",)
 
     def __init__(self, masses: Mapping[Subset, float] | Iterable[tuple[Subset, float]]
-                 | np.ndarray, frame: Subset = FULL_SET):
+                 | np.ndarray):
         if isinstance(masses, np.ndarray):
             if masses.shape != (SLOTS,):
                 raise ValueError(f"slot vector needs shape ({SLOTS},), got {masses.shape}")
@@ -173,7 +166,6 @@ class Bpa:
                 masses.items() if isinstance(masses, Mapping) else masses))
         masses.setflags(write=False)
         self.vector = masses
-        self.frame = frame
 
     def mass(self, subset: Subset) -> float:
         return float(self.vector[subset.bits])
@@ -194,20 +186,19 @@ class Bpa:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bpa):
             return NotImplemented
-        return self.frame == other.frame and bool(np.array_equal(self.vector, other.vector))
+        return bool(np.array_equal(self.vector, other.vector))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m:.6g}" for s, m in self.focal())
         return f"Bpa({{{body}}})"
 
 
-def vacuous(frame: Subset = FULL_SET) -> Bpa:
+def vacuous() -> Bpa:
     """The vacuous assignment m(frame) = 1: total ignorance."""
-    return Bpa({frame: 1.0}, frame=frame)
+    return Bpa({FULL_SET: 1.0})
 
 
-def unit_normalized(masses: Mapping[Subset, float] | Sequence[float],
-                    frame: Subset = FULL_SET) -> Bpa:
+def unit_normalized(masses: Mapping[Subset, float] | Sequence[float]) -> Bpa:
     """Build a Bpa from the positive masses, summing to exactly 1.0.
 
     ``masses`` maps subsets to masses, or is a slot vector of ``SLOTS``
@@ -238,7 +229,7 @@ def unit_normalized(masses: Mapping[Subset, float] | Sequence[float],
     vector = [0.0] * SLOTS
     for bits, m in positive.items():
         vector[bits] = m
-    return Bpa(np.array(vector), frame=frame)
+    return Bpa(np.array(vector))
 
 
 def validate_bpa(b: Bpa) -> Bpa:
@@ -246,14 +237,12 @@ def validate_bpa(b: Bpa) -> Bpa:
 
     Returns ``b`` itself when the masses already sum to exactly 1.0.  When
     the sum is off by at most ``MASS_SUM_TOL`` the masses are renormalized
-    proportionally; a larger gap, a mass outside [0, 1], positive mass on
-    the empty set, or a focal set outside the frame is an error.
+    proportionally; a larger gap, a mass outside [0, 1] or positive mass on
+    the empty set is an error.
     """
     for subset, mass in b.items():
         if math.isnan(mass) or not 0.0 <= mass <= 1.0:
             raise MassOutOfRange(f"mass {mass!r} on {subset} outside [0, 1]")
-        if not subset.issubset(b.frame):
-            raise FrameMismatch(f"focal set {subset} outside frame {b.frame}")
     empty_mass = b.mass(EMPTY_SET)
     if empty_mass != 0.0:
         raise NonzeroEmptySet(f"empty set carries mass {empty_mass!r}")
@@ -262,21 +251,32 @@ def validate_bpa(b: Bpa) -> Bpa:
         raise MassSumInvalid(f"masses sum to {total!r}, not 1")
     if total == 1.0:
         return b
-    return unit_normalized(b.vector.tolist(), frame=b.frame)
+    return unit_normalized(b.vector.tolist())
 
 
 # --- BPA fixture format (JSON) ----------------------------------------------
 
+def json_number(value) -> float:
+    """A parsed JSON number (int or float, not bool) as a float, else TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def bpa_to_dict(b: Bpa) -> dict:
     """Serialize to the fixture layout: frame names plus subset/mass entries."""
     return {
-        "frame": list(b.frame.names()),
+        "frame": [l.name for l in FRAME],
         "masses": [{"subset": list(s.names()), "mass": m} for s, m in b.focal()],
     }
 
 
 def bpa_from_dict(data: Mapping) -> Bpa:
-    """Parse the fixture layout produced by :func:`bpa_to_dict` and validate."""
+    """Parse the fixture layout produced by :func:`bpa_to_dict` and validate.
+
+    ``"frame"`` lists the grades the masses may use; a focal set outside it
+    is an error.
+    """
     try:
         frame_names = data["frame"]
         entries = data["masses"]
@@ -291,13 +291,17 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     for pos, entry in enumerate(entries):
         try:
             names = entry["subset"]
-            mass = float(entry["mass"])
+            mass = json_number(entry["mass"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError(f'masses[{pos}] needs "subset" and numeric "mass"') from None
         if not isinstance(names, list):
             raise ParseError(f'masses[{pos}]: "subset" must be a list of grade names')
         pairs.append((Subset.from_names(names), mass))
-    return validate_bpa(Bpa(pairs, frame=frame))
+    b = Bpa(pairs)
+    for subset, _ in b.items():
+        if not subset.issubset(frame):
+            raise FrameMismatch(f"focal set {subset} outside frame {frame}")
+    return validate_bpa(b)
 
 
 # --- indicator catalog -------------------------------------------------------

@@ -29,7 +29,7 @@ class NonzeroEmptySet(EvicritError):
 
 
 class FrameMismatch(EvicritError):
-    """Operands are defined over different frames."""
+    """A focal set reaches outside the frame its fixture declares."""
 
 
 class TotalConflict(EvicritError):

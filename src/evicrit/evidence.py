@@ -31,7 +31,7 @@ from .core import (
     subsets_of,
     unit_normalized,
 )
-from .errors import EmptyInput, FrameMismatch, TotalConflict
+from .errors import EmptyInput, TotalConflict
 
 #: 1 - k below this counts as total conflict
 CONFLICT_EPS = 1e-12
@@ -57,11 +57,6 @@ _MEMBER_SIZES = np.array([[len(SUBSETS[bits]) for bits in row] for row in _MEMBE
                          dtype=float)
 
 
-def _check_frames(m1: Bpa, m2: Bpa) -> None:
-    if m1.frame != m2.frame:
-        raise FrameMismatch(f"frames differ: {m1.frame} vs {m2.frame}")
-
-
 def _conjunctive(m1: Bpa, m2: Bpa) -> list[float]:
     """Unnormalized conjunctive combination, one value per slot.
 
@@ -85,13 +80,11 @@ def _conjunctive(m1: Bpa, m2: Bpa) -> list[float]:
 
 def conflict(m1: Bpa, m2: Bpa) -> float:
     """Total product mass on empty intersections; symmetric, in [0, 1]."""
-    _check_frames(m1, m2)
     return _conjunctive(m1, m2)[0]
 
 
 def dempster_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     """Dempster's rule: conjunctive combination normalized by 1 - k."""
-    _check_frames(m1, m2)
     slots = _conjunctive(m1, m2)
     k = slots[0]
     if 1.0 - k <= CONFLICT_EPS:
@@ -102,19 +95,16 @@ def dempster_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
         value = slots[bits] / (1.0 - k)
         if value >= MASS_PRUNE_EPS:
             masses[bits] = value
-    return CombinationResult(bpa=unit_normalized(masses, frame=m1.frame),
-                             conflict_k=k)
+    return CombinationResult(bpa=unit_normalized(masses), conflict_k=k)
 
 
 def brute_force_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     """Dempster's rule by exhaustive enumeration over all subset pairs.
 
-    Test oracle: walks the full power set of the frame on both sides,
+    Test oracle: walks all 32 subsets of the frame on both sides,
     looking masses up with a zero default, and normalizes on its own.
     """
-    if m1.frame != m2.frame:
-        raise FrameMismatch(f"frames differ: {m1.frame} vs {m2.frame}")
-    universe = subsets_of(m1.frame)
+    universe = subsets_of()
     accumulated = {subset: 0.0 for subset in universe}
     for a in universe:
         for b in universe:
@@ -130,23 +120,18 @@ def brute_force_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
         value = accumulated[subset] / (1.0 - k)
         if value >= MASS_PRUNE_EPS:
             masses[subset] = value
-    return CombinationResult(bpa=unit_normalized(masses, frame=m1.frame),
-                             conflict_k=k)
+    return CombinationResult(bpa=unit_normalized(masses), conflict_k=k)
 
 
 def average_bpas(bpas: Sequence[Bpa]) -> Bpa:
     """Focal-set-wise arithmetic mean of several mass functions."""
     if len(bpas) == 0:
         raise EmptyInput("need at least one mass function to average")
-    frame = bpas[0].frame
-    for b in bpas:
-        if b.frame != frame:
-            raise FrameMismatch(f"frames differ: {b.frame} vs {frame}")
     stacked = np.array([b.vector for b in bpas])
     columns = np.where(stacked > 0.0, stacked, 0.0).T.tolist()
     n = len(bpas)
     means = [math.fsum(column) / n for column in columns]
-    return unit_normalized(means, frame=frame)
+    return unit_normalized(means)
 
 
 def murphy_combine(bpas: Sequence[Bpa]) -> CombinationResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FRAME, FULL_SET, Bpa, Label, Subset, unit_normalized, vacuous
+from .core import FRAME, FULL_SET, Bpa, Label, Subset, unit_normalized
 from .errors import DiscountOutOfRange, ScoreOutOfRange
 
 SCORE_MIN = 0.0
@@ -124,6 +124,4 @@ def to_bpa(v: MembershipVector, alpha: float = 1.0,
         else:
             target = FULL_SET
         masses[target] = masses.get(target, 0.0) + rest
-    if not masses:
-        return vacuous()
     return unit_normalized(masses)

@@ -17,6 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .ahp import (
     aggregate_geometric,
     consistency,
 )
-from .core import FRAME, Bpa, bpa_from_dict, bpa_to_dict
+from .core import FRAME, Bpa, bpa_from_dict, bpa_to_dict, json_number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -252,6 +253,11 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
         if values.shape != (n, n):
             raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
                                 f"{values.shape} does not match {n} indicators")
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            i, j = next((i, j) for i, row in enumerate(rows)
+                        for j, cell in enumerate(row) if type(cell) not in (int, float))
+            raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
+                             f"({i + 1},{j + 1}) is {rows[i][j]!r}, not a number")
         try:
             out.append((expert_id, PairwiseMatrix(values)))
         except InvalidMatrix as e:
@@ -287,8 +293,10 @@ def load_ri_table(path: str | Path) -> dict[int, float]:
     table = dict(DEFAULT_RI)
     for key, value in doc.items():
         try:
+            if not (key.isascii() and key.isdigit()):
+                raise ValueError(f"order {key!r} is not a decimal integer")
             order = int(key)
-            ri = float(value)
+            ri = json_number(value)
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}") from None
         if order < 1 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2)):

@@ -8,7 +8,6 @@ fixed seeds, so the suite is deterministic.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -16,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .ahp import PairwiseMatrix, aggregate_geometric, consistency, principal_eigenvalue
-from .core import CATALOG_IDS, FULL_SET, Bpa, Subset, subsets_of, unit_normalized, vacuous
+from .core import CATALOG_IDS, SUBSETS, Bpa, Subset, unit_normalized, vacuous
 from .datasets import reference_fusion, reference_weights
 from .entropy import (
     DecisionMatrix,
@@ -41,7 +40,7 @@ from .pipeline import windows
 
 # --- independent dominant-eigenvalue oracle ----------------------------------
 
-def charpoly_lambda_max(a: np.ndarray, tol: float = 1e-10) -> float:
+def charpoly_lambda_max(a: np.ndarray) -> float:
     """Largest real root of det(lambda I - A) for a positive matrix A.
 
     Independent of power iteration: evaluates the characteristic polynomial
@@ -72,7 +71,7 @@ def charpoly_lambda_max(a: np.ndarray, tol: float = 1e-10) -> float:
         upper, upper_val = lam, val
     if lower is None:
         raise ValueError("no real root found below the row-sum bound")
-    while upper - lower > tol:
+    while upper - lower > 1e-10:
         mid = 0.5 * (upper + lower)
         val = g(mid)
         if val == 0.0:
@@ -108,7 +107,7 @@ def consistent_matrix(rng: np.random.Generator, n: int) -> PairwiseMatrix:
     return PairwiseMatrix(m)
 
 
-_NONEMPTY = tuple(s for s in subsets_of(FULL_SET) if not s.is_empty())
+_NONEMPTY = SUBSETS[1:]
 
 
 def random_bpa(rng: np.random.Generator, max_focal: int = 6) -> Bpa:
@@ -422,16 +421,14 @@ def run_criteria() -> list[CriterionResult]:
     return results
 
 
-def run_selftest(stream=None) -> bool:
-    """Run all criteria, print one line each, return overall success."""
-    stream = sys.stdout if stream is None else stream
+def run_selftest() -> bool:
+    """Run all criteria, print one line each to stdout, return overall success."""
     results = run_criteria()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number} [{status}] {r.name} "
-              f"({r.seconds:.2f}s): {r.detail}", file=stream)
+              f"({r.seconds:.2f}s): {r.detail}")
     all_passed = all(r.passed for r in results)
     print(f"selftest: {'PASS' if all_passed else 'FAIL'} "
-          f"({sum(r.passed for r in results)}/{len(results)} criteria)",
-          file=stream)
+          f"({sum(r.passed for r in results)}/{len(results)} criteria)")
     return all_passed

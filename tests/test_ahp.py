@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ def test_reciprocity_violation_is_located():
     with pytest.raises(errors.InvalidMatrix) as exc:
         PairwiseMatrix(np.array([[1.0, 2.0], [0.4, 1.0]]))
     assert "(1,2)" in str(exc.value) and "(2,1)" in str(exc.value)
+
+
+def test_reciprocity_violation_prints_plain_floats():
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        PairwiseMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
+    assert "2.0 * 1.0 != 1" in str(exc.value)
+
+
+def test_reciprocity_overflow_is_an_error_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidMatrix, match="reciprocity violated"):
+            PairwiseMatrix(np.array([[1.0, 1e308], [1e308, 1.0]]))
 
 
 def test_matrix_is_read_only():

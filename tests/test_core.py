@@ -66,13 +66,11 @@ def test_subset_algebra():
 
 
 def test_subsets_of_enumeration():
-    all_subs = list(subsets_of(FULL_SET))
+    all_subs = list(subsets_of())
     assert len(all_subs) == 32
     assert all_subs[0] == EMPTY_SET
-    assert FULL_SET in all_subs
-    pair = Subset.of(Label.VL, Label.VH)
-    subs = list(subsets_of(pair))
-    assert len(subs) == 4
+    assert all_subs[-1] == FULL_SET
+    assert [s.bits for s in all_subs] == list(range(32))
 
 
 def test_bpa_accumulates_and_defaults_to_zero():
@@ -128,8 +126,6 @@ def test_validate_bpa_errors():
         validate_bpa(Bpa([(EMPTY_SET, 0.2), (h, 0.8)]))
     with pytest.raises(errors.MassSumInvalid):
         validate_bpa(Bpa([(h, 0.5)]))
-    with pytest.raises(errors.FrameMismatch):
-        validate_bpa(Bpa([(h, 1.0)], frame=Subset.of(Label.VL, Label.L)))
 
 
 _subset_bits = st.integers(min_value=1, max_value=31)
@@ -183,6 +179,15 @@ def test_bpa_dict_shape():
 def test_bpa_from_dict_rejects_non_list_fields(doc):
     with pytest.raises(errors.ParseError):
         bpa_from_dict(doc)
+
+
+def test_bpa_from_dict_rejects_focal_set_outside_frame():
+    with pytest.raises(errors.FrameMismatch, match=r"focal set \{H\} outside frame \{VL,L\}"):
+        bpa_from_dict({"frame": ["VL", "L"], "masses": [{"subset": ["H"], "mass": 1.0}]})
+    # a zero mass outside the frame is no focal set
+    b = bpa_from_dict({"frame": ["VL", "L"], "masses": [{"subset": ["L"], "mass": 1.0},
+                                                         {"subset": ["H"], "mass": 0.0}]})
+    assert b == Bpa([(Subset.of(Label.L), 1.0)])
 
 
 def test_bpa_from_dict_rejects_unknown_label():

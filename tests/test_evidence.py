@@ -94,18 +94,6 @@ def test_dempster_vacuous_identity():
     assert result.bpa == m
 
 
-def test_frame_mismatch_rejected():
-    narrow_frame = Subset.of(Label.VL, Label.L)
-    narrow = unit_normalized({Subset.of(Label.VL): 1.0}, frame=narrow_frame)
-    wide = vacuous()
-    with pytest.raises(errors.FrameMismatch):
-        conflict(narrow, wide)
-    with pytest.raises(errors.FrameMismatch):
-        dempster_combine(narrow, wide)
-    with pytest.raises(errors.FrameMismatch):
-        average_bpas([narrow, wide])
-
-
 def test_average_bpas():
     m1 = bpa(H=0.6, theta=0.4)
     m2 = bpa(H=0.2, M=0.4, theta=0.4)

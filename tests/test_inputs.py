@@ -106,6 +106,24 @@ def test_401_digit_integer_is_parse_error(tmp_path, loader, doc):
     assert str(p) in str(exc.value)
 
 
+@pytest.mark.parametrize("loader,doc,field", [
+    (load_bpa_list, [bpa_doc(mass=True)], 'bpas[0]: masses[0] needs "subset" and numeric "mass"'),
+    (load_bpa_list, [bpa_doc(mass="1")], 'bpas[0]: masses[0] needs "subset" and numeric "mass"'),
+    (ingest_matrices, matrices_doc(True), "expert 'e1': matrix cell (1,2) is True"),
+    (ingest_matrices, matrices_doc("2"), "expert 'e1': matrix cell (1,2) is '2'"),
+    (load_ri_table, {"14": "1.57"}, "bad RI entry '14'"),
+    (load_ri_table, {"1_4": 1.57}, "bad RI entry '1_4'"),
+    (load_ri_table, {" 14": 1.57}, "bad RI entry ' 14'"),
+    (load_ri_table, {"+14": 1.57}, "bad RI entry '+14'"),
+], ids=["mass-true", "mass-string", "cell-true", "cell-string", "ri-string",
+        "ri-key-underscore", "ri-key-space", "ri-key-plus"])
+def test_numeric_fields_need_json_numbers(tmp_path, loader, doc, field):
+    p = write(tmp_path / "d.json", json.dumps(doc))
+    with pytest.raises(errors.ParseError) as exc:
+        loader(p)
+    assert str(exc.value).startswith(f"{p}: {field}")
+
+
 def test_repeated_json_key_is_parse_error(tmp_path):
     first, second = json.dumps(bpa_doc(("H",))), json.dumps(bpa_doc(("VL",)))
     p = write(tmp_path / "f.json", f'{{"A": {first}, "B": {first}, "A": {second}}}')

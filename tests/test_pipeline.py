@@ -196,6 +196,25 @@ def test_load_bpa_fixtures_rejects_non_list_fields(tmp_path):
     assert '"frame"' in str(exc.value)
 
 
+def test_load_bpa_fixtures_smaller_frame_is_the_same_bpa(tmp_path):
+    masses = [{"subset": ["M"], "mass": 0.6}, {"subset": ["L", "M", "H"], "mass": 0.4}]
+    full = {i: {"frame": [l.name for l in FRAME], "masses": masses} for i in CATALOG_IDS}
+    narrow = dict(full, B3={"frame": ["L", "M", "H"], "masses": masses})
+    got = load_bpa_fixtures(write(tmp_path / "n.json", json.dumps(narrow)), CATALOG_IDS)
+    want = load_bpa_fixtures(write(tmp_path / "f.json", json.dumps(full)), CATALOG_IDS)
+    assert got == want
+
+
+def test_load_bpa_fixtures_rejects_focal_set_outside_its_frame(tmp_path):
+    doc = {i: {"frame": [l.name for l in FRAME],
+               "masses": [{"subset": ["H"], "mass": 1.0}]} for i in CATALOG_IDS}
+    doc["B3"] = {"frame": ["L", "M"], "masses": [{"subset": ["M", "H"], "mass": 1.0}]}
+    p = write(tmp_path / "f.json", json.dumps(doc))
+    with pytest.raises(errors.FrameMismatch) as exc:
+        load_bpa_fixtures(p, CATALOG_IDS)
+    assert str(exc.value) == f"{p}: B3: focal set {{M,H}} outside frame {{L,M}}"
+
+
 def test_missing_file_is_io_error():
     with pytest.raises(errors.IoError):
         ingest_scores("/nonexistent/scores.csv", CATALOG_IDS)
@@ -617,6 +636,31 @@ def test_cli_fuse_malformed_bpa_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "bpas[0]" in captured.err and '"frame"' in captured.err
+
+
+def test_cli_fuse_focal_set_outside_frame_exits_1(tmp_path, capsys):
+    doc = {"bpas": [{"frame": ["H"], "masses": [{"subset": ["H", "VH"], "mass": 1.0}]}]}
+    code = cli.run(["fuse", "--bpas", str(write(tmp_path / "bpas.json", json.dumps(doc)))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "bpas[0]: focal set {H,VH} outside frame {H}" in captured.err
+
+
+def test_cli_fuse_mixed_frames_match_the_five_grade_frame(tmp_path, capsys):
+    cells = [(["L", "M", "H"], [(["M"], 0.6), (["L", "M"], 0.4)]),
+             (["M", "H", "VH"], [(["H"], 0.7), (["M", "H"], 0.3)]),
+             ([l.name for l in FRAME], [(["M"], 0.5), (["M", "H"], 0.3),
+                                        ([l.name for l in FRAME], 0.2)])]
+    outputs = []
+    for name, frames in (("mixed", [frame for frame, _ in cells]),
+                         ("five", [[l.name for l in FRAME]] * len(cells))):
+        doc = {"bpas": [{"frame": frame,
+                         "masses": [{"subset": s, "mass": m} for s, m in masses]}
+                        for frame, (_, masses) in zip(frames, cells)]}
+        code = cli.run(["fuse", "--bpas", str(write(tmp_path / f"{name}.json", json.dumps(doc)))])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_version(capsys):
