@@ -52,14 +52,14 @@ class PairwiseMatrix:
             raise InvalidMatrix(f"order must be at least 2, got {n}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise InvalidMatrix("all entries must be positive finite reals")
-        for i in range(n):
-            # Python floats: a product of two huge cells is inf without a warning
-            pairs = zip(a[i, i:].tolist(), a[i:, i].tolist())
-            for j, (upper, lower) in enumerate(pairs, start=i):
-                if abs(upper * lower - 1.0) > RECIPROCITY_TOL:
-                    raise InvalidMatrix(
-                        f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
-                        f"{upper!r} * {lower!r} != 1")
+        # an overflow to inf fails the check as it should, without a warning
+        with np.errstate(over="ignore", under="ignore"):
+            bad = np.abs(a * a.T - 1.0) > RECIPROCITY_TOL
+        if bad.any():
+            i, j = np.argwhere(np.triu(bad))[0]  # first in row order
+            raise InvalidMatrix(
+                f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+                f"{float(a[i, j])!r} * {float(a[j, i])!r} != 1")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
@@ -102,8 +102,10 @@ class ConsistencyReport:
 def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     """Entrywise geometric mean of expert matrices.
 
-    The mean of reciprocal matrices is reciprocal; the lower triangle is
-    rebuilt from the upper one so the result is reciprocal to the last bit.
+    Each cell is exp of the mean of the experts' logs.  The mean of
+    reciprocal matrices is reciprocal (Aczel & Saaty 1983); the diagonal is
+    set to 1 and the lower triangle to 1 / the upper one, so the result is
+    reciprocal to the last bit.  The input matrices are not modified.
     """
     if len(matrices) == 0:
         raise EmptyInput("need at least one matrix to aggregate")
@@ -111,12 +113,11 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     for pos, m in enumerate(matrices):
         if m.order != n:
             raise OrderMismatch(f"matrix {pos} has order {m.order}, expected {n}")
-    stack = np.stack([m.values for m in matrices])
-    mean = np.exp(np.log(stack).mean(axis=0))
-    for i in range(n):
-        mean[i, i] = 1.0
-        for j in range(i + 1, n):
-            mean[j, i] = 1.0 / mean[i, j]
+    stack = np.stack([m.values for m in matrices])  # a fresh copy, so log in place
+    mean = np.exp(np.log(stack, out=stack).mean(axis=0))
+    upper = np.triu_indices(n, 1)
+    mean[upper[::-1]] = 1.0 / mean[upper]
+    np.fill_diagonal(mean, 1.0)
     return PairwiseMatrix(mean)
 
 

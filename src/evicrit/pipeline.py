@@ -237,10 +237,12 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     expert_ids: set[str] = set()
     for pos, entry in enumerate(experts):
         try:
-            expert_id = str(entry["id"])
+            expert_id = entry["id"]
             rows = entry["matrix"]
         except (KeyError, TypeError):
             raise ParseError(f'{path}: experts[{pos}] needs "id" and "matrix"') from None
+        if not isinstance(expert_id, str):
+            raise ParseError(f'{path}: experts[{pos}]: "id" must be a string')
         if expert_id in expert_ids:
             raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
                              f"{expert_id!r}")
@@ -248,7 +250,7 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
         try:
             values = np.array(rows, dtype=float)
         except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{path}: expert {entry.get('id', pos)!r}: matrix "
+            raise ParseError(f"{path}: expert {expert_id!r}: matrix "
                              f"is not rectangular numeric") from None
         if values.shape != (n, n):
             raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
@@ -524,11 +526,12 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     )
 
     with _stage("emit", timings):
+        # the manifest goes last: a failed report write leaves no new manifest
         if config.out_dir is not None:
-            out_dir = Path(config.out_dir)
-            report_mod.write_manifest(manifest, out_dir / "manifest.json")
-            report_mod.emit_report(manifest, config.fmt, out_dir)
+            report_mod.emit_report(manifest, config.fmt, config.out_dir)
         if config.chart is not None:
             report_mod.emit_chart(manifest, config.chart)
+        if config.out_dir is not None:
+            report_mod.write_manifest(manifest, Path(config.out_dir) / "manifest.json")
 
     return manifest

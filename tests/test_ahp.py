@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evicrit import errors
 from evicrit.ahp import (
     DEFAULT_RI,
+    RECIPROCITY_TOL,
     PairwiseMatrix,
     aggregate_geometric,
     consistency,
@@ -49,6 +50,71 @@ def test_reciprocity_overflow_is_an_error_without_a_warning():
             PairwiseMatrix(np.array([[1.0, 1e308], [1e308, 1.0]]))
 
 
+def reference_reciprocity_error(a):
+    """The constructor's former row loop: the message for the first violating
+    pair in row order of the upper triangle (diagonal included), or None."""
+    n = a.shape[0]
+    for i in range(n):
+        pairs = zip(a[i, i:].tolist(), a[i:, i].tolist())
+        for j, (upper, lower) in enumerate(pairs, start=i):
+            if abs(upper * lower - 1.0) > RECIPROCITY_TOL:
+                return (f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+                        f"{upper!r} * {lower!r} != 1")
+    return None
+
+
+def assert_reciprocity_matches_reference(a):
+    expected = reference_reciprocity_error(a)
+    if expected is None:
+        assert PairwiseMatrix(a).values.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(errors.InvalidMatrix) as exc:
+            PairwiseMatrix(a)
+        assert str(exc.value) == expected
+
+
+@given(n=st.integers(min_value=2, max_value=20),
+       seed=st.integers(min_value=0, max_value=2**31),
+       perturbations=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=19),
+                     st.integers(min_value=0, max_value=19),
+                     st.sampled_from([1 + 1e-10, 1 + 1e-8, 2.0, 1e300, 1e-300])),
+           max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_reciprocity_check_matches_the_row_loop_reference(n, seed, perturbations):
+    a = random_reciprocal(np.random.default_rng(seed), n).values.copy()
+    for i, j, factor in perturbations:
+        # Python floats: an underflow to 0 or an overflow to inf never warns
+        a[i % n, j % n] = float(a[i % n, j % n]) * factor
+    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+        with pytest.raises(errors.InvalidMatrix, match="positive finite reals"):
+            PairwiseMatrix(a)
+    else:
+        assert_reciprocity_matches_reference(a)
+
+
+def test_reciprocity_non_unit_diagonal_is_located():
+    a = consistent_matrix(np.random.default_rng(5), 3).values.copy()
+    a[1, 1] = 2.0
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        PairwiseMatrix(a)
+    assert str(exc.value) == "reciprocity violated at (2,2)/(2,2): 2.0 * 2.0 != 1"
+    assert_reciprocity_matches_reference(a)
+
+
+def test_reciprocity_reports_only_the_row_major_first_violation():
+    # (2,2) comes first in column order, (1,3) in row order; the bad cell of
+    # the (1,3) pair is in the lower triangle
+    a = consistent_matrix(np.random.default_rng(6), 3).values.copy()
+    a[1, 1] = 3.0
+    a[2, 0] = 4.0
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        PairwiseMatrix(a)
+    assert str(exc.value) == (f"reciprocity violated at (1,3)/(3,1): "
+                              f"{float(a[0, 2])!r} * 4.0 != 1")
+    assert_reciprocity_matches_reference(a)
+
+
 def test_matrix_is_read_only():
     m = PairwiseMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(ValueError):
@@ -62,6 +128,34 @@ def test_aggregate_geometric_mean_of_two():
     # geometric mean sqrt(2 * 8) = 4
     assert g.values[0, 1] == pytest.approx(4.0, rel=1e-12)
     assert g.values[1, 0] == 1.0 / g.values[0, 1]
+
+
+def reference_aggregate(matrices):
+    """The former aggregation: log, mean, exp, then a loop over the lower
+    triangle."""
+    stack = np.stack([m.values for m in matrices])
+    mean = np.exp(np.log(stack).mean(axis=0))
+    n = mean.shape[0]
+    for i in range(n):
+        mean[i, i] = 1.0
+        for j in range(i + 1, n):
+            mean[j, i] = 1.0 / mean[i, j]
+    return mean
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (14, 2), (14, 256), (200, 8)])
+def test_aggregate_geometric_matches_the_loop_reference_bit_for_bit(n, k):
+    rng = np.random.default_rng([n, k])
+    panel = [random_reciprocal(rng, n).values.copy() for _ in range(k)]
+    panel[0][0, 0] = 1 + 1e-10  # within the reciprocity tolerance
+    panel = [PairwiseMatrix(a) for a in panel]
+    before = [m.values.tobytes() for m in panel]
+    v = aggregate_geometric(panel).values
+    assert v.tobytes() == reference_aggregate(panel).tobytes()
+    upper = np.triu_indices(n, 1)
+    assert np.array_equal(v.T[upper], 1.0 / v[upper])
+    assert np.all(np.diag(v) == 1.0)
+    assert [m.values.tobytes() for m in panel] == before
 
 
 def test_aggregate_rejects_empty_and_mismatched():

@@ -124,6 +124,19 @@ def test_numeric_fields_need_json_numbers(tmp_path, loader, doc, field):
     assert str(exc.value).startswith(f"{p}: {field}")
 
 
+@pytest.mark.parametrize("bad_id", [True, {"x": 1}, 1, None],
+                         ids=["true", "object", "number", "null"])
+def test_expert_id_must_be_a_json_string(tmp_path, bad_id):
+    doc = matrices_doc()
+    # a true id used to become "True" and collide with this one
+    doc["experts"].insert(0, {**doc["experts"][0], "id": "True"})
+    doc["experts"][1]["id"] = bad_id
+    p = write(tmp_path / "m.json", json.dumps(doc))
+    with pytest.raises(errors.ParseError) as exc:
+        ingest_matrices(p)
+    assert str(exc.value) == f'{p}: experts[1]: "id" must be a string'
+
+
 def test_repeated_json_key_is_parse_error(tmp_path):
     first, second = json.dumps(bpa_doc(("H",))), json.dumps(bpa_doc(("VL",)))
     p = write(tmp_path / "f.json", f'{{"A": {first}, "B": {first}, "A": {second}}}')

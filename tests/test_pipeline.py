@@ -479,6 +479,14 @@ def test_writes_use_unique_temp_files(inputs, tmp_path, capsys):
         "manifest.json", "manifest.json.tmp", "report.txt"]
 
 
+def test_failed_report_write_leaves_no_manifest(inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.txt").mkdir(parents=True)
+    assert cli.run(["evaluate", *cli_inputs(inputs), "--out-dir", str(out)]) == 3
+    assert "report.txt" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_chart_bytes_are_deterministic(inputs, tmp_path):
     run_example(inputs, chart=tmp_path / "a.svg")
     run_example(inputs, chart=tmp_path / "b.svg")
