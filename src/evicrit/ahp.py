@@ -68,12 +68,6 @@ class PairwiseMatrix:
     def order(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairwiseMatrix):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.array_equal(self.values, other.values))
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:

@@ -11,10 +11,8 @@ Exit codes: 0 success, 1 validation error, 2 consistency-gate failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from ._version import __version__
 from .ahp import CI_DENOMINATOR_MODES, aggregate_geometric, consistency
@@ -32,7 +30,7 @@ from .pipeline import (
     load_ri_table,
     run_pipeline,
 )
-from .report import _atomic_write
+from .report import _atomic_write, json_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,6 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(text: str, out: str | None, what: str):
+    """Write ``text`` to the file ``out`` and say so, or to stdout without one."""
+    if out:
+        _atomic_write(out, text)
+        print(f"{what} written to {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_evaluate(args) -> int:
     manifest = run_pipeline(PipelineConfig(
         **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}))
@@ -137,7 +144,7 @@ def _cmd_consistency(args) -> int:
     ri_table = None if args.ri_table is None else load_ri_table(args.ri_table)
     report = consistency(aggregated, ri_table=ri_table,
                          denominator_mode=args.ci_denominator)
-    print(json.dumps(report.to_dict(), indent=2))
+    sys.stdout.write(json_text(report.to_dict()))
     return EXIT_OK if report.acceptable else EXIT_INCONSISTENT
 
 
@@ -146,25 +153,15 @@ def _cmd_weights(args) -> int:
     aggregated = aggregate_geometric([m for _, m in experts])
     priors = ingest_priors(args.priors, ids) if args.priors else None
     table = build_table(DecisionMatrix(aggregated.values, ids), priors=priors)
-    text = table.to_csv()
-    if args.out:
-        _atomic_write(Path(args.out), text)
-        print(f"weights written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _output(table.to_csv(), args.out, "weights")
     return EXIT_OK
 
 
 def _cmd_fuse(args) -> int:
     bpas = load_bpa_list(args.bpas)
     result = murphy_combine(bpas)
-    doc = {"conflict_k": result.conflict_k, **fused_masses(result.bpa)}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        _atomic_write(Path(args.out), text)
-        print(f"fusion result written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _output(json_text({"conflict_k": result.conflict_k, **fused_masses(result.bpa)}),
+            args.out, "fusion result")
     return EXIT_OK
 
 

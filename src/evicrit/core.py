@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def parse_label(name: str) -> Label:
                          + ", ".join(l.name for l in FRAME)) from None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Subset:
     """An immutable set of grades, one bit per grade.
 
@@ -97,9 +97,6 @@ class Subset:
 
     def __contains__(self, label: Label) -> bool:
         return bool(self.bits >> int(label) & 1)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self.members)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -147,23 +144,21 @@ class Bpa:
     """A basic probability assignment: unit belief mass over grade subsets.
 
     The masses live in one read-only float64 vector of ``SLOTS`` entries;
-    slot ``i`` holds the mass of ``Subset(i)``.  Given (subset, mass) pairs,
-    the constructor adds up duplicates in input order; given a slot vector,
-    it keeps that array and makes it read-only.  Every mass function lives
+    slot ``i`` holds the mass of ``Subset(i)``.  Given a mapping from subset
+    to mass, the constructor fills those slots; given a slot vector, it
+    keeps that array and makes it read-only.  Every mass function lives
     on the five-grade frame; one defined on fewer grades is the same vector
     with no mass on subsets outside them.
     """
 
     __slots__ = ("vector",)
 
-    def __init__(self, masses: Mapping[Subset, float] | Iterable[tuple[Subset, float]]
-                 | np.ndarray):
+    def __init__(self, masses: Mapping[Subset, float] | np.ndarray):
         if isinstance(masses, np.ndarray):
             if masses.shape != (SLOTS,):
                 raise ValueError(f"slot vector needs shape ({SLOTS},), got {masses.shape}")
         else:
-            masses = np.array(_mass_list(
-                masses.items() if isinstance(masses, Mapping) else masses))
+            masses = np.array(_mass_list(masses.items()))
         masses.setflags(write=False)
         self.vector = masses
 
@@ -297,7 +292,7 @@ def bpa_from_dict(data: Mapping) -> Bpa:
         if not isinstance(names, list):
             raise ParseError(f'masses[{pos}]: "subset" must be a list of grade names')
         pairs.append((Subset.from_names(names), mass))
-    b = Bpa(pairs)
+    b = Bpa(np.array(_mass_list(pairs)))
     for subset, _ in b.items():
         if not subset.issubset(frame):
             raise FrameMismatch(f"focal set {subset} outside frame {frame}")

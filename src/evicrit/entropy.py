@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class DecisionMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
         object.__setattr__(self, "ids", ids)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def column_normalize(d: DecisionMatrix) -> np.ndarray:
@@ -142,17 +138,14 @@ class EntropyTable:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for row in self.rows():
-            writer.writerow([
-                row["indicator"],
-                repr(row["E"]), repr(row["d"]), repr(row["W"]),
-                "" if row["lambda"] is None else repr(row["lambda"]),
-                "" if row["W_adj"] is None else repr(row["W_adj"]),
-            ])
-        return buf.getvalue()
+        from .report import csv_text  # on first use: `import evicrit` skips report
+
+        return csv_text(self.CSV_HEADER, ((
+            row["indicator"],
+            repr(row["E"]), repr(row["d"]), repr(row["W"]),
+            "" if row["lambda"] is None else repr(row["lambda"]),
+            "" if row["W_adj"] is None else repr(row["W_adj"]),
+        ) for row in self.rows()))
 
     @classmethod
     def from_csv(cls, text: str) -> "EntropyTable":
@@ -174,13 +167,12 @@ class EntropyTable:
                    adjusted=tuple(adj) if has_priors else None)
 
 
-def build_table(d: DecisionMatrix,
-                priors: Mapping[str, float] | Sequence[float] | None = None,
+def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,
                 ) -> EntropyTable:
     """Run the full weighting chain over a decision matrix.
 
-    ``priors`` maps indicator id to its prior weight (or lists them in
-    column order); when given, the adjusted-weight column is filled in.
+    ``priors`` maps indicator id to its prior weight; when given, the
+    adjusted-weight column is filled in.
     """
     p = column_normalize(d)
     e = entropy_values(p)
@@ -189,13 +181,10 @@ def build_table(d: DecisionMatrix,
     lam_tuple = None
     adjusted = None
     if priors is not None:
-        if isinstance(priors, Mapping):
-            missing = [i for i in d.ids if i not in priors]
-            if missing:
-                raise DegeneratePriors(f"no prior for {missing[0]}")
-            lam = np.array([float(priors[i]) for i in d.ids])
-        else:
-            lam = np.asarray(list(priors), dtype=float)
+        missing = [i for i in d.ids if i not in priors]
+        if missing:
+            raise DegeneratePriors(f"no prior for {missing[0]}")
+        lam = np.array([float(priors[i]) for i in d.ids])
         adjusted_arr = adjust_weights(w, lam)
         lam_tuple = tuple(float(v) for v in lam)
         adjusted = tuple(float(v) for v in adjusted_arr)

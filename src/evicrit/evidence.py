@@ -13,7 +13,6 @@ oracle for the optimized path and must stay independent of it.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -181,19 +180,10 @@ class RankingReport:
         }
 
 
-def _natural_key(identifier: str) -> tuple[str, int]:
-    match = re.fullmatch(r"([^\d]*)(\d+)", identifier)
-    if match:
-        return (match.group(1), int(match.group(2)))
-    return (identifier, -1)
-
-
-def rank(values: Mapping[str, float], note: str = "",
-         tie_order: Sequence[str] | None = None) -> RankingReport:
+def rank(values: Mapping[str, float], note: str = "") -> RankingReport:
     """Rank ids by descending value.
 
-    Ties fall back to id order: positions in ``tie_order`` when given,
-    otherwise natural id order (B2 before B10).  A NaN value raises
+    Tied ids keep their order in ``values``.  A NaN value raises
     ValueError, because it has no place in the order.
     """
     if len(values) == 0:
@@ -201,13 +191,7 @@ def rank(values: Mapping[str, float], note: str = "",
     for identifier, value in values.items():
         if math.isnan(value):
             raise ValueError(f"cannot rank {identifier!r}: its value is NaN")
-    if tie_order is not None:
-        positions = {identifier: pos for pos, identifier in enumerate(tie_order)}
-        def tie_key(identifier: str):
-            return positions.get(identifier, len(positions)), _natural_key(identifier)
-    else:
-        tie_key = _natural_key
-    ordered = sorted(values.items(), key=lambda kv: (-kv[1], tie_key(kv[0])))
+    ordered = sorted(values.items(), key=lambda kv: -kv[1])
     entries = tuple((identifier, float(value), position + 1)
                     for position, (identifier, value) in enumerate(ordered))
     return RankingReport(entries=entries, top=entries[0][0], bottom=entries[-1][0],

@@ -33,7 +33,7 @@ from .ahp import (
     aggregate_geometric,
     consistency,
 )
-from .core import FRAME, Bpa, bpa_from_dict, bpa_to_dict, json_number
+from .core import Bpa, bpa_from_dict, bpa_to_dict, json_number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -83,7 +83,9 @@ class PipelineConfig:
 
     def validated(self) -> "PipelineConfig":
         try:
-            check_alpha(self.alpha)
+            check_alpha(json_number(self.alpha))
+        except TypeError:
+            raise ConfigError(f"alpha must be a number, got {self.alpha!r}") from None
         except EvicritError as e:
             raise ConfigError(f"alpha: {e}") from None
         if self.overlap_mode not in OVERLAP_MODES:
@@ -95,10 +97,14 @@ class PipelineConfig:
         if self.fmt not in REPORT_FORMATS:
             raise ConfigError(f"format must be one of {REPORT_FORMATS}, "
                               f"got {self.fmt!r}")
-        if self.window < 1:
-            raise ConfigError(f"window must be at least 1, got {self.window}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be at least 1, got {self.stride}")
+        for name in ("window", "stride"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if not isinstance(self.force, bool):
+            raise ConfigError(f"force must be true or false, got {self.force!r}")
         return self
 
 
@@ -399,9 +405,6 @@ class RunManifest:
             "timings": self.timings,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 @contextmanager
 def _stage(name: str, timings: dict[str, float]):
@@ -499,8 +502,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         betp = pignistic(overall)
         rankings["fused_belief"] = rank(
             {l.name: p for l, p in betp.items()},
-            note="pignistic probability of the fused overall assignment",
-            tie_order=[l.name for l in FRAME])
+            note="pignistic probability of the fused overall assignment")
 
     manifest = RunManifest(
         version=__version__,

@@ -17,7 +17,7 @@ import math
 import os
 import secrets
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import FRAME, FULL_SET, Bpa, Subset, indicator
 from .errors import IoError
@@ -53,8 +53,22 @@ def _atomic_write(path: str | Path, data: str) -> Path:
     return path
 
 
+def json_text(doc) -> str:
+    """The JSON encoding of every JSON output: two-space indent, final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV encoding of every CSV output: a header row, then ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_manifest(manifest: "RunManifest", path: str | Path) -> Path:
-    return _atomic_write(path, manifest.to_json())
+    return _atomic_write(path, json_text(manifest.to_dict()))
 
 
 def _fusion_row_values(b: Bpa) -> list[float]:
@@ -134,36 +148,25 @@ def _render_text(manifest: "RunManifest") -> str:
 # --- CSV rendering --------------------------------------------------------------
 
 def _render_ratings_csv(manifest: "RunManifest") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("indicator", "score", "label"))
-    for indicator_id, score, label in manifest.ratings:
-        writer.writerow((indicator_id, repr(score), label))
-    return buf.getvalue()
+    return csv_text(("indicator", "score", "label"),
+                     ((indicator_id, repr(score), label)
+                      for indicator_id, score, label in manifest.ratings))
 
 
 def _render_fusion_csv(manifest: "RunManifest") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("window", *(name for name, _ in FUSION_COLUMNS),
-                     "other", "conflict_k"))
-    for ids, result in zip(manifest.window_ids, manifest.window_results):
-        writer.writerow(("+".join(ids),
-                         *(repr(v) for v in _fusion_row_values(result.bpa)),
-                         repr(result.conflict_k)))
-    writer.writerow(("Average",
-                     *(repr(v) for v in _fusion_row_values(manifest.overall)), ""))
-    return buf.getvalue()
+    rows = [("+".join(ids), *(repr(v) for v in _fusion_row_values(result.bpa)),
+             repr(result.conflict_k))
+            for ids, result in zip(manifest.window_ids, manifest.window_results)]
+    rows.append(("Average", *(repr(v) for v in _fusion_row_values(manifest.overall)), ""))
+    return csv_text(("window", *(name for name, _ in FUSION_COLUMNS), "other",
+                      "conflict_k"), rows)
 
 
 def _render_ranking_csv(manifest: "RunManifest") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("measure", "rank", "id", "value"))
-    for key, ranking in manifest.rankings.items():
-        for entry_id, value, position in ranking.entries:
-            writer.writerow((key, position, entry_id, repr(value)))
-    return buf.getvalue()
+    return csv_text(("measure", "rank", "id", "value"),
+                     ((key, position, entry_id, repr(value))
+                      for key, ranking in manifest.rankings.items()
+                      for entry_id, value, position in ranking.entries))
 
 
 # --- JSON rendering --------------------------------------------------------------
@@ -172,7 +175,7 @@ def _render_json(manifest: "RunManifest") -> str:
     doc = manifest.to_dict()
     body = {key: doc[key] for key in
             ("consistency", "entropy_table", "ratings", "fusion", "rankings")}
-    return json.dumps(body, indent=2) + "\n"
+    return json_text(body)
 
 
 def emit_report(manifest: "RunManifest", fmt: str, out_dir: str | Path) -> list[Path]:

@@ -320,7 +320,7 @@ def criterion_8() -> tuple[bool, str]:
         uniform_adjusted = adjust_weights(np.array(table.weights), np.ones(n))
         worst_prior = max(worst_prior, float(np.max(
             np.abs(uniform_adjusted - np.array(table.weights)))))
-        adjusted = build_table(d, priors=list(rng.uniform(0.1, 1.0, size=n)))
+        adjusted = build_table(d, priors=dict(zip(ids, rng.uniform(0.1, 1.0, size=n))))
         worst_sum = max(worst_sum, abs(math.fsum(adjusted.adjusted) - 1.0))
 
     uniform_col = np.column_stack([np.full(5, 3.7), np.arange(1.0, 6.0)])

@@ -74,8 +74,12 @@ def test_subsets_of_enumeration():
 
 
 def test_bpa_accumulates_and_defaults_to_zero():
+    # a fixture listing one subset twice: the masses add in input order
     h = Subset.of(Label.H)
-    b = Bpa([(h, 0.3), (h, 0.3), (FULL_SET, 0.4)])
+    b = bpa_from_dict({"frame": ["VL", "L", "M", "H", "VH"],
+                       "masses": [{"subset": ["H"], "mass": 0.3},
+                                  {"subset": ["H"], "mass": 0.3},
+                                  {"subset": ["VL", "L", "M", "H", "VH"], "mass": 0.4}]})
     assert b.mass(h) == 0.6
     assert b.mass(Subset.of(Label.VL)) == 0.0
     assert b.total() == pytest.approx(1.0, abs=1e-15)
@@ -84,7 +88,7 @@ def test_bpa_accumulates_and_defaults_to_zero():
 
 def test_bpa_equality_ignores_explicit_zeros():
     h = Subset.of(Label.H)
-    assert Bpa([(h, 1.0), (FULL_SET, 0.0)]) == Bpa([(h, 1.0)])
+    assert Bpa({h: 1.0, FULL_SET: 0.0}) == Bpa({h: 1.0})
 
 
 def test_vacuous():
@@ -119,13 +123,13 @@ def test_unit_normalized_rejects_infinite_total():
 def test_validate_bpa_errors():
     h = Subset.of(Label.H)
     with pytest.raises(errors.MassOutOfRange):
-        validate_bpa(Bpa([(h, -0.2), (FULL_SET, 1.2)]))
+        validate_bpa(Bpa({h: -0.2, FULL_SET: 1.2}))
     with pytest.raises(errors.MassOutOfRange):
-        validate_bpa(Bpa([(h, float("nan"))]))
+        validate_bpa(Bpa({h: float("nan")}))
     with pytest.raises(errors.NonzeroEmptySet):
-        validate_bpa(Bpa([(EMPTY_SET, 0.2), (h, 0.8)]))
+        validate_bpa(Bpa({EMPTY_SET: 0.2, h: 0.8}))
     with pytest.raises(errors.MassSumInvalid):
-        validate_bpa(Bpa([(h, 0.5)]))
+        validate_bpa(Bpa({h: 0.5}))
 
 
 _subset_bits = st.integers(min_value=1, max_value=31)
@@ -165,7 +169,7 @@ def test_bpa_json_round_trip(masses):
 
 
 def test_bpa_dict_shape():
-    b = Bpa([(Subset.of(Label.M, Label.H), 0.05), (FULL_SET, 0.95)])
+    b = Bpa({Subset.of(Label.M, Label.H): 0.05, FULL_SET: 0.95})
     d = bpa_to_dict(b)
     assert d["frame"] == ["VL", "L", "M", "H", "VH"]
     assert {"subset": ["M", "H"], "mass": 0.05} in d["masses"]
@@ -187,7 +191,7 @@ def test_bpa_from_dict_rejects_focal_set_outside_frame():
     # a zero mass outside the frame is no focal set
     b = bpa_from_dict({"frame": ["VL", "L"], "masses": [{"subset": ["L"], "mass": 1.0},
                                                          {"subset": ["H"], "mass": 0.0}]})
-    assert b == Bpa([(Subset.of(Label.L), 1.0)])
+    assert b == Bpa({Subset.of(Label.L): 1.0})
 
 
 def test_bpa_from_dict_rejects_unknown_label():

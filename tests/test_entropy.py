@@ -128,13 +128,6 @@ def test_build_table_priors_optional():
     assert table.to_csv().splitlines()[0] == "indicator,E,d,W,lambda,W_adj"
 
 
-def test_build_table_priors_as_sequence():
-    d = dm([[2.0, 1.0], [6.0, 3.0]], ids=["a", "b"])
-    by_map = build_table(d, priors={"a": 1.0, "b": 3.0})
-    by_seq = build_table(d, priors=[1.0, 3.0])
-    assert by_map == by_seq
-
-
 def test_build_table_missing_prior_id():
     d = dm([[2.0, 1.0], [6.0, 3.0]], ids=["a", "b"])
     with pytest.raises(errors.DegeneratePriors) as exc:

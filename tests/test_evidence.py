@@ -153,15 +153,11 @@ def test_rank_basics():
     assert [e[2] for e in report.entries] == [1, 2, 3]
 
 
-def test_rank_ties_use_natural_id_order():
+def test_rank_ties_keep_mapping_order():
     report = rank({"B10": 0.5, "B2": 0.5})
-    assert [e[0] for e in report.entries] == ["B2", "B10"]
-
-
-def test_rank_tie_order_takes_precedence():
-    report = rank({"H": 0.4, "M": 0.4, "VL": 0.2},
-                  tie_order=[l.name for l in FRAME])
-    assert [e[0] for e in report.entries] == ["M", "H", "VL"]
+    assert [e[0] for e in report.entries] == ["B10", "B2"]
+    report = rank({"H": 0.4, "M": 0.4, "VL": 0.2})
+    assert [e[0] for e in report.entries] == ["H", "M", "VL"]
 
 
 def test_rank_empty():

@@ -353,6 +353,36 @@ def test_run_pipeline_rejects_bad_config(inputs):
         run_example(inputs, window=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "0.8"), ("alpha", True), ("alpha", None),
+    ("window", True), ("window", 2.5), ("window", "4"), ("stride", 2.0),
+    ("force", "no"), ("force", 1)])
+def test_run_pipeline_rejects_wrongly_typed_config(tmp_path, field, value):
+    # checked before any input is read: the paths need not exist
+    config = PipelineConfig(scores=tmp_path / "no-scores.csv",
+                            matrices=tmp_path / "no-matrices.json", **{field: value})
+    with pytest.raises(errors.ConfigError, match=field):
+        run_pipeline(config)
+
+
+def test_run_pipeline_weight_ties_follow_matrices_order(tmp_path):
+    # columns B10 and B2 of the aggregate are equal, so their weights tie
+    # bit for bit; the tie keeps the order of "indicators", not B2 before B10
+    ids = ["A", "B10", "B2"]
+    x = 3.0
+    matrices = {"indicators": ids,
+                "experts": [{"id": "e1", "matrix": [[1, x, x], [1 / x, 1, 1],
+                                                    [1 / x, 1, 1]]}]}
+    scores = ["expert_id,indicator,score"] + [f"e1,{i},5" for i in ids]
+    manifest = run_pipeline(PipelineConfig(
+        scores=write(tmp_path / "scores.csv", "\n".join(scores) + "\n"),
+        matrices=write(tmp_path / "matrices.json", json.dumps(matrices)),
+        window=2, stride=1))
+    weights = manifest.entropy_table.weights
+    assert weights[1] == weights[2]
+    assert [e[0] for e in manifest.rankings["weight"].entries] == ["A", "B10", "B2"]
+
+
 def test_run_pipeline_takes_ids_from_matrices(tmp_path):
     ids = [f"T{j}" for j in range(1, 6)]
     rng = np.random.default_rng(5)
@@ -460,6 +490,18 @@ def test_emitted_files_and_round_trips(inputs, tmp_path):
     assert parsed["version"] == manifest.version
     svg = (tmp_path / "fig.svg").read_text()
     assert svg.count('class="bar"') == 70
+
+
+def test_json_report_is_the_manifest_tables(inputs, tmp_path):
+    out = tmp_path / "out"
+    manifest = run_example(inputs, alpha=0.8, out_dir=out, fmt="json")
+    sections = ("consistency", "entropy_table", "ratings", "fusion", "rankings")
+    doc = manifest.to_dict()
+    report = (out / "report.json").read_text()
+    assert report == json.dumps({key: doc[key] for key in sections}, indent=2) + "\n"
+    written = json.loads((out / "manifest.json").read_text())
+    assert json.loads(report) == {key: written[key] for key in sections}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_writes_use_unique_temp_files(inputs, tmp_path, capsys):
