@@ -160,6 +160,12 @@ def test_rank_ties_keep_mapping_order():
     assert [e[0] for e in report.entries] == ["H", "M", "VL"]
 
 
+def test_rank_grade_ties_given_in_frame_order_keep_frame_order():
+    values = {"H": 0.4, "M": 0.4, "VL": 0.2}
+    report = rank({l.name: values[l.name] for l in FRAME if l.name in values})
+    assert [e[0] for e in report.entries] == ["M", "H", "VL"]
+
+
 def test_rank_empty():
     with pytest.raises(errors.EmptyInput):
         rank({})
