@@ -132,14 +132,6 @@ def subsets_of() -> tuple[Subset, ...]:
     return SUBSETS
 
 
-def _mass_list(items: Iterable[tuple[Subset, float]]) -> list[float]:
-    """Slot values of (subset, mass) pairs; duplicates add up in input order."""
-    acc = [0.0] * SLOTS
-    for subset, mass in items:
-        acc[subset.bits] += float(mass)
-    return acc
-
-
 class Bpa:
     """A basic probability assignment: unit belief mass over grade subsets.
 
@@ -158,7 +150,10 @@ class Bpa:
             if masses.shape != (SLOTS,):
                 raise ValueError(f"slot vector needs shape ({SLOTS},), got {masses.shape}")
         else:
-            masses = np.array(_mass_list(masses.items()))
+            vector = [0.0] * SLOTS
+            for subset, mass in masses.items():
+                vector[subset.bits] = float(mass)
+            masses = np.array(vector)
         masses.setflags(write=False)
         self.vector = masses
 
@@ -169,11 +164,6 @@ class Bpa:
         """(subset, mass) pairs with positive mass, in canonical order."""
         values = self.vector.tolist()
         return tuple((SUBSETS[i], values[i]) for i in CANONICAL_ORDER if values[i] > 0.0)
-
-    def items(self) -> tuple[tuple[Subset, float], ...]:
-        """All nonzero (subset, mass) pairs, in canonical order."""
-        values = self.vector.tolist()
-        return tuple((SUBSETS[i], values[i]) for i in CANONICAL_ORDER if values[i] != 0.0)
 
     def total(self) -> float:
         return math.fsum(self.vector.tolist())
@@ -193,20 +183,18 @@ def vacuous() -> Bpa:
     return Bpa({FULL_SET: 1.0})
 
 
-def unit_normalized(masses: Mapping[Subset, float] | Sequence[float]) -> Bpa:
-    """Build a Bpa from the positive masses, summing to exactly 1.0.
+def unit_normalized(masses: Sequence[float]) -> Bpa:
+    """Build a Bpa from the positive slots of a slot vector, summing to exactly 1.0.
 
-    ``masses`` maps subsets to masses, or is a slot vector of ``SLOTS``
-    floats.  Scales proportionally, then absorbs the remaining float
-    residue into the heaviest focal set (lowest bits on ties) so repeated
-    normalization is a no-op.  An infinite mass or total is rejected.
+    ``masses`` holds ``SLOTS`` floats, slot ``i`` the mass of ``Subset(i)``;
+    slots that are not positive become 0.  Scales proportionally, then
+    absorbs the remaining float residue into the heaviest slot (lowest bits
+    on ties) so repeated normalization is a no-op.  An infinite mass or
+    total is rejected.
     """
-    if isinstance(masses, Mapping):
-        positive = {s.bits: float(m) for s, m in masses.items() if m > 0.0}
-    else:
-        positive = {bits: m for bits, m in enumerate(masses) if m > 0.0}
+    positive = [m if m > 0.0 else 0.0 for m in masses]
     try:
-        total = math.fsum(positive.values())
+        total = math.fsum(positive)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
@@ -214,17 +202,14 @@ def unit_normalized(masses: Mapping[Subset, float] | Sequence[float]) -> Bpa:
     if total <= 0.0:
         raise MassSumInvalid("no positive mass to normalize")
     if total != 1.0:
-        positive = {bits: m / total for bits, m in positive.items()}
+        positive = [m / total for m in positive]
     for _ in range(8):
-        residue = 1.0 - math.fsum(positive.values())
+        residue = 1.0 - math.fsum(positive)
         if residue == 0.0:
             break
-        heaviest = max(positive, key=lambda bits: (positive[bits], -bits))
-        positive[heaviest] += residue
-    vector = [0.0] * SLOTS
-    for bits, m in positive.items():
-        vector[bits] = m
-    return Bpa(np.array(vector))
+        # index() finds the first maximum, so the lowest bits win a tie
+        positive[positive.index(max(positive))] += residue
+    return Bpa(np.array(positive))
 
 
 def validate_bpa(b: Bpa) -> Bpa:
@@ -235,9 +220,11 @@ def validate_bpa(b: Bpa) -> Bpa:
     proportionally; a larger gap, a mass outside [0, 1] or positive mass on
     the empty set is an error.
     """
-    for subset, mass in b.items():
+    values = b.vector.tolist()
+    for bits in CANONICAL_ORDER:
+        mass = values[bits]
         if math.isnan(mass) or not 0.0 <= mass <= 1.0:
-            raise MassOutOfRange(f"mass {mass!r} on {subset} outside [0, 1]")
+            raise MassOutOfRange(f"mass {mass!r} on {SUBSETS[bits]} outside [0, 1]")
     empty_mass = b.mass(EMPTY_SET)
     if empty_mass != 0.0:
         raise NonzeroEmptySet(f"empty set carries mass {empty_mass!r}")
@@ -282,7 +269,7 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     if not isinstance(entries, list):
         raise ParseError('"masses" must be a list of subset/mass entries')
     frame = Subset.from_names(frame_names)
-    pairs = []
+    vector = [0.0] * SLOTS
     for pos, entry in enumerate(entries):
         try:
             names = entry["subset"]
@@ -291,12 +278,12 @@ def bpa_from_dict(data: Mapping) -> Bpa:
             raise ParseError(f'masses[{pos}] needs "subset" and numeric "mass"') from None
         if not isinstance(names, list):
             raise ParseError(f'masses[{pos}]: "subset" must be a list of grade names')
-        pairs.append((Subset.from_names(names), mass))
-    b = Bpa(np.array(_mass_list(pairs)))
-    for subset, _ in b.items():
-        if not subset.issubset(frame):
-            raise FrameMismatch(f"focal set {subset} outside frame {frame}")
-    return validate_bpa(b)
+        # a subset listed twice adds up, in input order
+        vector[Subset.from_names(names).bits] += mass
+    for bits in CANONICAL_ORDER:
+        if vector[bits] != 0.0 and not SUBSETS[bits].issubset(frame):
+            raise FrameMismatch(f"focal set {SUBSETS[bits]} outside frame {frame}")
+    return validate_bpa(Bpa(np.array(vector)))
 
 
 # --- indicator catalog -------------------------------------------------------

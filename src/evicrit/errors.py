@@ -79,7 +79,7 @@ class AllZeroDivergence(EvicritError):
 
 
 class DegeneratePriors(EvicritError):
-    """Prior weights zero out every column; adjusted weights undefined."""
+    """A prior is negative or not finite, or the priors zero out every column."""
 
 
 # --- scores and fuzzification ----------------------------------------------

@@ -112,14 +112,11 @@ def brute_force_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     if 1.0 - k <= CONFLICT_EPS:
         raise TotalConflict(f"total conflict (k = {k!r}); combination undefined",
                             conflict_k=k)
-    masses = {}
+    vector = np.zeros(SLOTS)
     for subset in universe:
-        if subset.is_empty():
-            continue
-        value = accumulated[subset] / (1.0 - k)
-        if value >= MASS_PRUNE_EPS:
-            masses[subset] = value
-    return CombinationResult(bpa=unit_normalized(masses), conflict_k=k)
+        if not subset.is_empty():
+            vector[subset.bits] = accumulated[subset] / (1.0 - k)
+    return CombinationResult(bpa=Bpa(vector), conflict_k=k)
 
 
 def average_bpas(bpas: Sequence[Bpa]) -> Bpa:

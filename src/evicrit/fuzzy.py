@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FRAME, FULL_SET, Bpa, Label, Subset, unit_normalized
+from .core import FRAME, FULL_SET, SLOTS, Bpa, Label, unit_normalized
 from .errors import DiscountOutOfRange, ScoreOutOfRange
 
 SCORE_MIN = 0.0
@@ -112,16 +112,14 @@ def to_bpa(v: MembershipVector, alpha: float = 1.0,
         raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}, "
                          f"got {overlap_mode!r}")
     active = v.active()
-    masses: dict[Subset, float] = {}
+    masses = [0.0] * SLOTS
     for label, mu in active:
-        mass = alpha * mu
-        if mass > 0.0:
-            masses[Subset.of(label)] = mass
+        masses[1 << label] = alpha * mu
     rest = 1.0 - alpha
     if rest > 0.0:
         if overlap_mode == OVERLAP_ADJACENT and len(active) == 2:
-            target = Subset.of(active[0][0], active[1][0])
+            target = 1 << active[0][0] | 1 << active[1][0]
         else:
-            target = FULL_SET
-        masses[target] = masses.get(target, 0.0) + rest
+            target = FULL_SET.bits
+        masses[target] += rest
     return unit_normalized(masses)

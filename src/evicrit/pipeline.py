@@ -37,6 +37,7 @@ from .core import Bpa, bpa_from_dict, bpa_to_dict, json_number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
+    DegeneratePriors,
     EvicritError,
     InconsistentMatrix,
     InvalidMatrix,
@@ -165,7 +166,8 @@ def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
     column and a number (the row's ``what``) in its last, which ``parse``
-    turns into ``value``; ``line`` is the line on which the row ends.
+    turns into ``value``; ``line`` is the line on which the row ends.  The
+    number must be ASCII without ``_``, which ``float`` alone does not ask.
     """
     known = set(ids)
     width = len(header)
@@ -186,6 +188,8 @@ def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str
                 raise UnknownIndicator(f"{path}:{line}: unknown indicator "
                                        f"{row[-2]!r}")
             try:
+                if "_" in row[-1] or not row[-1].isascii():
+                    raise ValueError(row[-1])
                 value = parse(row[-1])
             except ValueError:
                 raise ParseError(f"{path}:{line}: {what} {row[-1]!r} is not "
@@ -273,15 +277,22 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     return tuple(ids), out
 
 
+def _check_prior(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise DegeneratePriors(f"prior {value!r} is not a nonnegative finite real")
+    return value
+
+
 def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     """Read per-indicator prior weights from `indicator,lambda` CSV.
 
-    The file must give exactly one prior for each id in ``ids`` and none
-    for any other id.
+    The file must give exactly one nonnegative finite prior for each id in
+    ``ids`` and none for any other id.
     """
     priors: dict[str, float] = {}
     for line, (indicator_id, _), value in _csv_rows(
-            path, ["indicator", "lambda"], ids, "prior"):
+            path, ["indicator", "lambda"], ids, "prior", _check_prior):
         if indicator_id in priors:
             raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
         priors[indicator_id] = value

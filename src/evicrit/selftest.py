@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .ahp import PairwiseMatrix, aggregate_geometric, consistency, principal_eigenvalue
-from .core import CATALOG_IDS, SUBSETS, Bpa, Subset, unit_normalized, vacuous
+from .core import CATALOG_IDS, SLOTS, SUBSETS, Bpa, Subset, unit_normalized, vacuous
 from .datasets import reference_fusion, reference_weights
 from .entropy import (
     DecisionMatrix,
@@ -114,7 +114,9 @@ def random_bpa(rng: np.random.Generator, max_focal: int = 6) -> Bpa:
     count = int(rng.integers(1, max_focal + 1))
     picked = rng.choice(len(_NONEMPTY), size=count, replace=False)
     weights = rng.dirichlet(np.ones(count))
-    masses = {_NONEMPTY[int(i)]: float(w) for i, w in zip(picked, weights)}
+    masses = [0.0] * SLOTS
+    for i, w in zip(picked.tolist(), weights.tolist()):
+        masses[_NONEMPTY[i].bits] = w
     return unit_normalized(masses)
 
 

@@ -27,6 +27,8 @@ from evicrit.core import (
     validate_bpa,
 )
 
+from mass_slots import slots
+
 
 def test_label_order_and_names():
     assert [l.name for l in FRAME] == ["VL", "L", "M", "H", "VH"]
@@ -100,29 +102,30 @@ def test_vacuous():
 def test_unit_normalized_scales_and_drops():
     h = Subset.of(Label.H)
     m = Subset.of(Label.M)
-    b = unit_normalized({h: 2.0, m: 2.0, FULL_SET: 0.0, EMPTY_SET: 0.0})
+    b = unit_normalized(slots({h: 2.0, m: 2.0, FULL_SET: 0.0, EMPTY_SET: 0.0}))
     assert b.mass(h) == 0.5
     assert b.mass(m) == 0.5
     assert b.mass(FULL_SET) == 0.0
-    assert math.fsum(v for _, v in b.items()) == 1.0
+    assert math.fsum(b.vector.tolist()) == 1.0
 
 
 def test_unit_normalized_rejects_nothing_positive():
     with pytest.raises(errors.MassSumInvalid):
-        unit_normalized({Subset.of(Label.H): 0.0})
+        unit_normalized(slots({Subset.of(Label.H): 0.0}))
 
 
 def test_unit_normalized_rejects_infinite_total():
     # two finite masses whose sum overflows, and an infinite mass
     with pytest.raises(errors.MassSumInvalid):
-        unit_normalized({FULL_SET: 1e308, Subset(1): 1e308})
+        unit_normalized(slots({FULL_SET: 1e308, Subset(1): 1e308}))
     with pytest.raises(errors.MassSumInvalid):
-        unit_normalized({FULL_SET: math.inf, Subset(1): 0.5})
+        unit_normalized(slots({FULL_SET: math.inf, Subset(1): 0.5}))
 
 
 def test_validate_bpa_errors():
     h = Subset.of(Label.H)
-    with pytest.raises(errors.MassOutOfRange):
+    # both masses are out of range; the smaller set is reported first
+    with pytest.raises(errors.MassOutOfRange, match=r"^mass -0\.2 on \{H\} outside \[0, 1\]$"):
         validate_bpa(Bpa({h: -0.2, FULL_SET: 1.2}))
     with pytest.raises(errors.MassOutOfRange):
         validate_bpa(Bpa({h: float("nan")}))
@@ -146,24 +149,24 @@ def raw_masses(draw):
 @given(raw_masses())
 @settings(max_examples=300)
 def test_unit_normalized_total_is_exactly_one(masses):
-    b = unit_normalized(masses)
-    assert math.fsum(v for _, v in b.items()) == 1.0
-    assert all(v > 0.0 for _, v in b.items())
+    b = unit_normalized(slots(masses))
+    assert math.fsum(b.vector.tolist()) == 1.0
+    assert all(v >= 0.0 for v in b.vector.tolist())
 
 
 @given(raw_masses())
 @settings(max_examples=200)
 def test_validate_bpa_idempotent(masses):
-    b = validate_bpa(unit_normalized(masses))
+    b = validate_bpa(unit_normalized(slots(masses)))
     again = validate_bpa(b)
     assert again == b
-    assert [(s, m) for s, m in again.items()] == [(s, m) for s, m in b.items()]
+    assert again.vector.tolist() == b.vector.tolist()
 
 
 @given(raw_masses())
 @settings(max_examples=200)
 def test_bpa_json_round_trip(masses):
-    b = unit_normalized(masses)
+    b = unit_normalized(slots(masses))
     back = bpa_from_dict(json.loads(json.dumps(bpa_to_dict(b))))
     assert back == b
 

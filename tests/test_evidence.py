@@ -30,6 +30,8 @@ from evicrit.evidence import (
 )
 from evicrit.selftest import random_bpa
 
+from mass_slots import slots
+
 
 def bpa(**masses):
     """Shorthand: bpa(H=0.6, theta=0.4) or bpa(MH=0.3) for the {M,H} pair."""
@@ -39,7 +41,7 @@ def bpa(**masses):
     out = {}
     for key, value in masses.items():
         out[named[key] if key in named else Subset.of(Label[key])] = value
-    return unit_normalized(out)
+    return unit_normalized(slots(out))
 
 
 def test_conflict_simple():
@@ -58,6 +60,23 @@ def test_dempster_self_combination():
     assert result.conflict_k == 0.0
     assert result.bpa.mass(Subset.of(Label.H)) == pytest.approx(0.84, abs=1e-12)
     assert result.bpa.mass(FULL_SET) == pytest.approx(0.16, abs=1e-12)
+
+
+def test_brute_force_normalizes_on_its_own(monkeypatch):
+    m1 = bpa(H=0.6, theta=0.4)
+    m2 = bpa(L=0.5, H=0.3, theta=0.2)
+
+    def shared_normalizer(masses):
+        raise AssertionError("the oracle must not share unit_normalized")
+
+    monkeypatch.setattr("evicrit.evidence.unit_normalized", shared_normalizer)
+    got = brute_force_combine(m1, m2)
+    # H x L collides: k = 0.3, and {H}, {L}, theta share the remaining 0.7
+    assert got.conflict_k == pytest.approx(0.3, abs=1e-15)
+    assert got.bpa.mass(Subset.of(Label.H)) == pytest.approx(0.42 / 0.7, abs=1e-15)
+    assert got.bpa.mass(Subset.of(Label.L)) == pytest.approx(0.2 / 0.7, abs=1e-15)
+    assert got.bpa.mass(FULL_SET) == pytest.approx(0.08 / 0.7, abs=1e-15)
+    assert math.fsum(got.bpa.vector.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dempster_normalizes_conflicting_mass():
@@ -233,9 +252,9 @@ def test_combined_mass_is_normalized(seed):
         result = dempster_combine(m1, m2)
     except errors.TotalConflict:
         return
-    total = math.fsum(m for _, m in result.bpa.items())
+    total = math.fsum(result.bpa.vector.tolist())
     assert total == 1.0
-    assert all(m > 0.0 for _, m in result.bpa.items())
+    assert all(m >= 0.0 for m in result.bpa.vector.tolist())
 
 
 @given(_seeds)
@@ -266,7 +285,7 @@ def bucketed_dempster(m1, m2):
     """Reference Dempster step on Subset-keyed dicts: every focal pair's
     product goes into its intersection's bucket, each bucket is fsum-ed
     once, and the result is scaled to unit sum with the residue absorbed by
-    the heaviest set (lowest bits on ties).  Returns (k, items) or None on
+    the heaviest set (lowest bits on ties).  Returns (k, masses) or None on
     total conflict."""
     buckets = {}
     for a, mass_a in m1.focal():
@@ -289,9 +308,7 @@ def bucketed_dempster(m1, m2):
             break
         heaviest = max(masses, key=lambda s: (masses[s], -s.bits))
         masses[heaviest] += residue
-    items = sorted(((s, m) for s, m in masses.items() if m != 0.0),
-                   key=lambda sm: (len(sm[0]), sm[0].bits))
-    return k, tuple(items)
+    return k, masses
 
 
 @given(_seeds, st.sampled_from([6, 31]), st.sampled_from([6, 31]))
@@ -306,4 +323,4 @@ def test_dempster_matches_bucketed_reference_exactly(seed, focal_1, focal_2):
         return
     got = dempster_combine(m1, m2)
     assert got.conflict_k == want[0]
-    assert got.bpa.items() == want[1]
+    assert got.bpa.vector.tolist() == slots(want[1])

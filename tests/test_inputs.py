@@ -171,6 +171,41 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
     assert f"{p}:4:" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_out_of_range_prior_names_file_and_line(tmp_path, value):
+    p = write(tmp_path / "p.csv", f"indicator,lambda\nA,0.5\nB,{value}\n")
+    with pytest.raises(errors.DegeneratePriors) as exc:
+        ingest_priors(p, IDS)
+    assert str(exc.value) == (f"{p}:3: prior {float(value)!r} is not a "
+                              f"nonnegative finite real")
+
+
+@pytest.mark.parametrize("loader, text", [
+    (ingest_priors, "indicator,lambda\nA,0.5\nB,0_5\n"),
+    (ingest_scores, "expert_id,indicator,score\ne1,A,5\ne1,B,1_0\n"),
+    (ingest_scores, "expert_id,indicator,score\ne1,A,5\ne1,B, \u0665 \n"),
+], ids=["prior-0_5", "score-1_0", "score-arabic-indic-5"])
+def test_csv_number_is_ascii_without_underscore(tmp_path, loader, text):
+    # float() reads each of these cells (as 5.0, 10.0 and 5.0)
+    p = write(tmp_path / "in.csv", text)
+    with pytest.raises(errors.ParseError) as exc:
+        loader(p, IDS)
+    assert str(exc.value).startswith(f"{p}:3: ")
+    assert str(exc.value).endswith(" is not a number")
+
+
+def test_cli_underscored_prior_exit_1(tmp_path, capsys):
+    paths = export_example_inputs(tmp_path / "in")
+    text = paths["priors.csv"].read_text()
+    paths["priors.csv"].write_text(text.replace("B1,0.2333", "B1,0_5"))
+    code = cli.run(["evaluate", "--scores", str(paths["scores.csv"]),
+                    "--matrices", str(paths["matrices.json"]),
+                    "--priors", str(paths["priors.csv"]),
+                    "--ri-table", str(paths["ri.json"])])
+    assert code == 1
+    assert f"{paths['priors.csv']}:2: prior '0_5' is not a number" in capsys.readouterr().err
+
+
 # --- fuzzing ------------------------------------------------------------------------
 
 LOADERS = {

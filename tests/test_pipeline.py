@@ -563,7 +563,7 @@ def test_reference_fusion_fixture():
     ref = reference_fusion()
     assert len(ref.windows) == 6
     assert ref.windows[0][0] == ("B1", "B2", "B3", "B4")
-    total = math.fsum(m for _, m in ref.average.items())
+    total = math.fsum(ref.average.vector.tolist())
     assert total == 1.0
 
 
