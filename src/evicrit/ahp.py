@@ -44,29 +44,70 @@ class PairwiseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
+        a = np.array(self.values, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if n < 2:
-            raise InvalidMatrix(f"order must be at least 2, got {n}")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise InvalidMatrix("all entries must be positive finite reals")
-        # an overflow to inf fails the check as it should, without a warning
-        with np.errstate(over="ignore", under="ignore"):
-            bad = np.abs(a * a.T - 1.0) > RECIPROCITY_TOL
-        if bad.any():
-            i, j = np.argwhere(np.triu(bad))[0]  # first in row order
-            raise InvalidMatrix(
-                f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
-                f"{float(a[i, j])!r} * {float(a[j, i])!r} != 1")
-        a = a.copy()
+        _check_stack(a[None])
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @property
     def order(self) -> int:
         return self.values.shape[0]
+
+
+def _check_stack(a: np.ndarray) -> None:
+    """Check a (k, n, n) stack of judgment matrices as one array.
+
+    Raises the InvalidMatrix of the first failing matrix, with its position
+    in the stack as ``index``.  A matrix fails on the first rule it breaks:
+    order at least 2, then positive finite entries, then reciprocity, whose
+    error names the first violation in row order of the upper triangle.
+    """
+    n = a.shape[1]
+    if n < 2:
+        index, message = 0, f"order must be at least 2, got {n}"
+    else:
+        sound = ((a > 0.0) & (a < math.inf)).all(axis=(1, 2))
+        end = len(a) if sound.all() else int(sound.argmin())  # first unsound
+        head = a[:end]
+        # an overflow to inf fails the check as it should, without a warning
+        with np.errstate(over="ignore", under="ignore"):
+            bad = np.abs(head * head.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL
+        hit = bad.any(axis=(1, 2))
+        if hit.any():
+            index = int(hit.argmax())
+            i, j = np.argwhere(np.triu(bad[index]))[0]
+            message = (f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+                       f"{float(a[index, i, j])!r} * {float(a[index, j, i])!r} != 1")
+        elif end < len(a):
+            index, message = end, "all entries must be positive finite reals"
+        else:
+            return
+    error = InvalidMatrix(message)
+    error.index = index
+    raise error
+
+
+def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
+    """One PairwiseMatrix per array, checked together as one stack.
+
+    The arrays share one square shape.  A failing matrix raises the
+    InvalidMatrix that PairwiseMatrix raises for it, with its position in
+    ``arrays`` as ``index``.  Each matrix returned is a read-only view of
+    one checked copy of the stack.
+    """
+    stack = np.array(arrays, dtype=float, order="C")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidMatrix(f"expected a stack of square matrices, got shape {stack.shape}")
+    _check_stack(stack)
+    stack.setflags(write=False)
+    matrices = []
+    for values in stack:
+        m = object.__new__(PairwiseMatrix)  # checked above, as one stack
+        object.__setattr__(m, "values", values)
+        matrices.append(m)
+    return matrices
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ class Label(IntEnum):
 
 #: the frame of discernment: all five grades in order
 FRAME: tuple[Label, ...] = tuple(Label)
+#: the bit of each grade name
+_NAME_BITS: dict[str, int] = {l.name: 1 << l for l in FRAME}
 
 
 def parse_label(name: str) -> Label:
@@ -80,7 +82,13 @@ class Subset:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "Subset":
-        return cls.of(*(parse_label(n) for n in names))
+        bits = 0
+        for name in names:
+            try:
+                bits |= _NAME_BITS[name]
+            except (KeyError, TypeError):
+                parse_label(name)  # raises its error for an unknown name
+        return cls(bits)
 
     @property
     def members(self) -> tuple[Label, ...]:

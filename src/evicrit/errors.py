@@ -53,6 +53,9 @@ class OrderMismatch(EvicritError):
 class InvalidMatrix(EvicritError):
     """A matrix fails validation (shape, positivity, or reciprocity)."""
 
+    #: position of the failing matrix in a stack of matrices checked at once
+    index: int | None = None
+
 
 class NoConvergence(EvicritError):
     """Power iteration hit its iteration cap without converging."""

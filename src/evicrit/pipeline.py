@@ -32,6 +32,7 @@ from .ahp import (
     PairwiseMatrix,
     aggregate_geometric,
     consistency,
+    pairwise_matrices,
 )
 from .core import Bpa, bpa_from_dict, bpa_to_dict, json_number
 from .entropy import DecisionMatrix, EntropyTable, build_table
@@ -243,38 +244,55 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     if not isinstance(experts, list) or not experts:
         raise ParseError(f'{path}: "experts" must be a nonempty list')
     n = len(ids)
-    out: list[tuple[str, PairwiseMatrix]] = []
-    expert_ids: set[str] = set()
+    arrays: dict[str, np.ndarray] = {}
     for pos, entry in enumerate(experts):
         try:
-            expert_id = entry["id"]
-            rows = entry["matrix"]
-        except (KeyError, TypeError):
-            raise ParseError(f'{path}: experts[{pos}] needs "id" and "matrix"') from None
-        if not isinstance(expert_id, str):
-            raise ParseError(f'{path}: experts[{pos}]: "id" must be a string')
-        if expert_id in expert_ids:
-            raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
-                             f"{expert_id!r}")
-        expert_ids.add(expert_id)
-        try:
-            values = np.array(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{path}: expert {expert_id!r}: matrix "
-                             f"is not rectangular numeric") from None
-        if values.shape != (n, n):
-            raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
-                                f"{values.shape} does not match {n} indicators")
-        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-            i, j = next((i, j) for i, row in enumerate(rows)
-                        for j, cell in enumerate(row) if type(cell) not in (int, float))
-            raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
-                             f"({i + 1},{j + 1}) is {rows[i][j]!r}, not a number")
-        try:
-            out.append((expert_id, PairwiseMatrix(values)))
-        except InvalidMatrix as e:
-            raise InvalidMatrix(f"{path}: expert {expert_id!r}: {e}") from None
-    return tuple(ids), out
+            expert_id, values = _expert_entry(path, pos, entry, n, arrays)
+        except (ParseError, OrderMismatch):
+            if arrays:  # an earlier expert's value fault comes first
+                _expert_matrices(path, arrays)
+            raise
+        arrays[expert_id] = values
+    return tuple(ids), _expert_matrices(path, arrays)
+
+
+def _expert_entry(path: str | Path, pos: int, entry, n: int,
+                  seen: dict[str, np.ndarray]) -> tuple[str, np.ndarray]:
+    """The structural checks of one expert: (its id, its n x n float array)."""
+    try:
+        expert_id = entry["id"]
+        rows = entry["matrix"]
+    except (KeyError, TypeError):
+        raise ParseError(f'{path}: experts[{pos}] needs "id" and "matrix"') from None
+    if not isinstance(expert_id, str):
+        raise ParseError(f'{path}: experts[{pos}]: "id" must be a string')
+    if expert_id in seen:
+        raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
+                         f"{expert_id!r}")
+    try:
+        values = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}: expert {expert_id!r}: matrix "
+                         f"is not rectangular numeric") from None
+    if values.shape != (n, n):
+        raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
+                            f"{values.shape} does not match {n} indicators")
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, cell in enumerate(row) if type(cell) not in (int, float))
+        raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
+                         f"({i + 1},{j + 1}) is {rows[i][j]!r}, not a number")
+    return expert_id, values
+
+
+def _expert_matrices(path: str | Path, arrays: dict[str, np.ndarray]
+                     ) -> list[tuple[str, PairwiseMatrix]]:
+    """(expert id, matrix) for each expert, the matrices checked as one stack."""
+    try:
+        matrices = pairwise_matrices(list(arrays.values()))
+    except InvalidMatrix as e:
+        raise InvalidMatrix(f"{path}: expert {list(arrays)[e.index]!r}: {e}") from None
+    return list(zip(arrays, matrices))
 
 
 def _check_prior(text: str) -> float:

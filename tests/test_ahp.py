@@ -13,6 +13,7 @@ from evicrit.ahp import (
     PairwiseMatrix,
     aggregate_geometric,
     consistency,
+    pairwise_matrices,
     principal_eigenvalue,
 )
 from evicrit.selftest import charpoly_lambda_max, consistent_matrix, random_reciprocal
@@ -28,6 +29,8 @@ def test_pairwise_matrix_validation():
         PairwiseMatrix(np.array([[1.0, -2.0], [-0.5, 1.0]]))
     with pytest.raises(errors.InvalidMatrix):
         PairwiseMatrix(np.array([[1.0, np.nan], [1.0, 1.0]]))
+    with pytest.raises(errors.InvalidMatrix, match="stack of square matrices"):
+        pairwise_matrices([np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 2.0]])])
 
 
 def test_reciprocity_violation_is_located():
@@ -91,6 +94,43 @@ def test_reciprocity_check_matches_the_row_loop_reference(n, seed, perturbations
             PairwiseMatrix(a)
     else:
         assert_reciprocity_matches_reference(a)
+
+
+@given(n=st.integers(min_value=2, max_value=20),
+       k=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**31),
+       perturbations=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=7),
+                     st.integers(min_value=0, max_value=19),
+                     st.integers(min_value=0, max_value=19),
+                     st.sampled_from([1 + 1e-10, 1 + 1e-8, 2.0, 1e300, 1e-300])),
+           max_size=4))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_pairwise_matrices_checks_the_stack_like_each_matrix(n, k, seed, perturbations):
+    rng = np.random.default_rng(seed)
+    arrays = [random_reciprocal(rng, n).values.copy() for _ in range(k)]
+    for m, i, j, factor in perturbations:
+        a = arrays[m % k]
+        a[i % n, j % n] = float(a[i % n, j % n]) * factor
+    first_fault = None
+    for index, a in enumerate(arrays):
+        try:
+            PairwiseMatrix(a)
+        except errors.InvalidMatrix as e:
+            first_fault = (index, str(e))
+            break
+    if first_fault is not None:
+        with pytest.raises(errors.InvalidMatrix) as exc:
+            pairwise_matrices(arrays)
+        assert (exc.value.index, str(exc.value)) == first_fault
+        return
+    matrices = pairwise_matrices(arrays)
+    assert [m.values.tobytes() for m in matrices] == [a.tobytes() for a in arrays]
+    for m in matrices:
+        assert isinstance(m, PairwiseMatrix) and m.order == n
+        assert not m.values.flags.writeable
+        with pytest.raises(ValueError):
+            m.values.setflags(write=True)
 
 
 def test_reciprocity_non_unit_diagonal_is_located():

@@ -198,9 +198,12 @@ def test_bpa_from_dict_rejects_focal_set_outside_frame():
 
 
 def test_bpa_from_dict_rejects_unknown_label():
-    with pytest.raises(errors.ParseError):
-        bpa_from_dict({"frame": ["VL", "L", "M", "H", "VH"],
-                       "masses": [{"subset": ["XX"], "mass": 1.0}]})
+    for name in ("XX", "m", " M ", None, 1, ["H"]):
+        with pytest.raises(errors.ParseError) as exc:
+            bpa_from_dict({"frame": ["VL", "L", "M", "H", "VH"],
+                           "masses": [{"subset": ["H", name], "mass": 1.0}]})
+        assert str(exc.value) == (f"unknown grade name {name!r}; "
+                                  "expected one of VL, L, M, H, VH")
 
 
 def test_catalog_shape():

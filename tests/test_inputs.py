@@ -137,6 +137,26 @@ def test_expert_id_must_be_a_json_string(tmp_path, bad_id):
     assert str(exc.value) == f'{p}: experts[1]: "id" must be a string'
 
 
+@pytest.mark.parametrize("matrices,error,message", [
+    ([[[1.0, 2.0], [1.0, 1.0]], [[1.0, "2"], [0.5, 1.0]]], errors.InvalidMatrix,
+     "expert 'e0': reciprocity violated at (1,2)/(2,1): 2.0 * 1.0 != 1"),
+    ([[[1.0, True], [0.5, 1.0]], [[1.0, 2.0], [1.0, 1.0]]], errors.ParseError,
+     "expert 'e0': matrix cell (1,2) is True, not a number"),
+    ([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0], [0.5, 1.0]], [[1.0, 2.0, 3.0], [0.5, 1.0, 1.0]]],
+     errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
+], ids=["nonreciprocal-then-string", "true-then-nonreciprocal", "zero-then-shape"])
+def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
+    # the matrices are checked after every expert's structural checks, but a
+    # value fault of an expert before a structurally broken one comes first
+    doc = {"indicators": list(IDS),
+           "experts": [{"id": f"e{k}", "matrix": m} for k, m in enumerate(matrices)]}
+    p = write(tmp_path / "m.json", json.dumps(doc))
+    with pytest.raises(error) as exc:
+        ingest_matrices(p)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{p}: {message}"
+
+
 def test_repeated_json_key_is_parse_error(tmp_path):
     first, second = json.dumps(bpa_doc(("H",))), json.dumps(bpa_doc(("VL",)))
     p = write(tmp_path / "f.json", f'{{"A": {first}, "B": {first}, "A": {second}}}')
