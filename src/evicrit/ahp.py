@@ -44,11 +44,13 @@ class PairwiseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.values, dtype=float, order="C")
+        a = np.asarray(self.values, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+        # the one copy goes to immutable bytes, so no array over them can
+        # be made writeable again
+        a = np.frombuffer(a.tobytes(), dtype=float).reshape(a.shape)
         _check_stack(a[None])
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @property
@@ -95,13 +97,15 @@ def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     The arrays share one square shape.  A failing matrix raises the
     InvalidMatrix that PairwiseMatrix raises for it, with its position in
     ``arrays`` as ``index``.  Each matrix returned is a read-only view of
-    one checked copy of the stack.
+    one checked copy of the stack, held in immutable bytes.
     """
-    stack = np.array(arrays, dtype=float, order="C")
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise InvalidMatrix(f"expected a stack of square matrices, got shape {stack.shape}")
+    arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+    shapes = sorted({a.shape for a in arrays})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
+    # the one copy goes to immutable bytes, as in PairwiseMatrix
+    stack = np.frombuffer(b"".join(arrays), dtype=float).reshape(len(arrays), *shapes[0])
     _check_stack(stack)
-    stack.setflags(write=False)
     matrices = []
     for values in stack:
         m = object.__new__(PairwiseMatrix)  # checked above, as one stack

@@ -95,7 +95,7 @@ class Subset:
         return tuple(l for l in FRAME if self.bits >> int(l) & 1)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(l.name for l in self.members)
+        return _SLOT_NAMES[self.bits]
 
     def is_empty(self) -> bool:
         return self.bits == 0
@@ -127,6 +127,9 @@ FULL_SET = Subset.of(*FRAME)
 SLOTS = 1 << len(FRAME)
 #: the Subset held in each slot
 SUBSETS: tuple[Subset, ...] = tuple(Subset(bits) for bits in range(SLOTS))
+#: the member names of each slot's subset, in grade order
+_SLOT_NAMES: tuple[tuple[str, ...], ...] = tuple(
+    tuple(l.name for l in s.members) for s in SUBSETS)
 #: slots in canonical order: smallest sets first, then grade order within a size
 CANONICAL_ORDER: tuple[int, ...] = tuple(
     sorted(range(SLOTS), key=lambda bits: (bits.bit_count(), bits)))

@@ -54,8 +54,80 @@ def _atomic_write(path: str | Path, data: str) -> Path:
 
 
 def json_text(doc) -> str:
-    """The JSON encoding of every JSON output: two-space indent, final newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The JSON encoding of every JSON output: two-space indent, final newline.
+
+    The bytes are those of ``json.dumps(doc, indent=2) + "\\n"``, and so are
+    the TypeErrors for values and keys that JSON cannot hold.  With an
+    indent, ``json.dumps`` runs its pure-Python encoder; this writer joins
+    strings from the C string escaper and ``float.__repr__`` instead.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+#: what json.dumps writes for the non-finite floats, keyed by their repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = _float_repr(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_value(o, newline: str) -> str:
+    """``o`` encoded at the nesting whose line break and indent is ``newline``."""
+    kind = type(o)
+    if kind is str:
+        return _escape(o)
+    if kind is float:
+        return _json_float(o)
+    if kind is dict:
+        return _json_dict(o, newline)
+    if kind is list:
+        return _json_list(o, newline)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, (list, tuple)):
+        return _json_list(o, newline)
+    if isinstance(o, dict):
+        return _json_dict(o, newline)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_list(o, newline: str) -> str:
+    if not o:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in o]) + newline + "]"
+
+
+def _json_dict(o, newline: str) -> str:
+    if not o:
+        return "{}"
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join([
+        (_escape(k) if type(k) is str else _json_key(k)) + ": " + _json_value(v, inner)
+        for k, v in o.items()]) + newline + "}"
+
+
+def _json_key(k) -> str:
+    """A non-str dict key as json.dumps coerces it."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + _json_value(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

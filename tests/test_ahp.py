@@ -159,6 +159,14 @@ def test_matrix_is_read_only():
     m = PairwiseMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(ValueError):
         m.values[0, 1] = 3.0
+    # no array under the checked cells can be made writeable again
+    stacked = pairwise_matrices([m.values, np.array([[1.0, 4.0], [0.25, 1.0]])])[1]
+    for checked in (m, stacked, aggregate_geometric([m, stacked])):
+        a = checked.values
+        while isinstance(a, np.ndarray):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+            a = a.base
 
 
 def test_aggregate_geometric_mean_of_two():

@@ -452,7 +452,7 @@ def test_example_fusion_is_pinned(inputs):
         "6cef3377a3a70f04849c9371fa8fafe2c87dfb113b33276512167d2467e9f523")
 
 
-def test_dense_fixture_fusion_is_pinned(inputs, tmp_path):
+def write_dense_fixtures(path):
     # 20-31 focal sets per indicator; integer weights over their sum keep
     # the fixture bytes free of transcendental functions
     rng = np.random.default_rng(20190424)
@@ -466,7 +466,11 @@ def test_dense_fixture_fusion_is_pinned(inputs, tmp_path):
             "frame": [l.name for l in FRAME],
             "masses": [{"subset": list(Subset(int(b)).names()), "mass": float(m)}
                        for b, m in zip(bits, masses)]}
-    fixtures = write(tmp_path / "dense.json", json.dumps(doc))
+    return write(path, json.dumps(doc))
+
+
+def test_dense_fixture_fusion_is_pinned(inputs, tmp_path):
+    fixtures = write_dense_fixtures(tmp_path / "dense.json")
     manifest = run_example(inputs, bpa_fixtures=fixtures, window=4, stride=2)
     assert fusion_digest(manifest) == (
         "e7145c194f197eb14c9f7d5ffe2d314297094c392a97ea06e56de3c9ef9202bb")
@@ -502,6 +506,27 @@ def test_json_report_is_the_manifest_tables(inputs, tmp_path):
     written = json.loads((out / "manifest.json").read_text())
     assert json.loads(report) == {key: written[key] for key in sections}
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
+def test_json_outputs_are_the_stdlib_indent_2_encoding(inputs, tmp_path, capsys):
+    def assert_stdlib_bytes(text):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    dense = write_dense_fixtures(tmp_path / "dense.json")
+    assert cli.run(["evaluate", *cli_inputs(inputs), "--alpha", "0.8", "--format", "json",
+                    "--out-dir", str(tmp_path / "example")]) == 0
+    run_example(inputs, bpa_fixtures=dense, window=4, stride=2,
+                out_dir=tmp_path / "dense", fmt="json")
+    for run in ("example", "dense"):
+        for name in ("manifest.json", "report.json"):
+            assert_stdlib_bytes((tmp_path / run / name).read_text())
+    capsys.readouterr()
+    assert cli.run(["consistency", "--matrices", str(inputs["matrices.json"]),
+                    "--ri-table", str(inputs["ri.json"])]) == 0
+    assert_stdlib_bytes(capsys.readouterr().out)
+    bpas = {"bpas": list(json.loads(dense.read_text()).values())}
+    assert cli.run(["fuse", "--bpas", str(write(tmp_path / "bpas.json", json.dumps(bpas)))]) == 0
+    assert_stdlib_bytes(capsys.readouterr().out)
 
 
 def test_writes_use_unique_temp_files(inputs, tmp_path, capsys):

@@ -1,0 +1,57 @@
+"""The one JSON encoder: the bytes and errors of json.dumps(..., indent=2)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evicrit.core import Label
+from evicrit.report import json_text
+
+# non-ASCII, control, quote and backslash characters, then anything
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\xe9 \U0001f600'),
+                          st.characters()))
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]),
+    st.floats())
+_INTS = st.one_of(st.sampled_from([2**64, 2**64 + 1, -(2**70), 10**30]), st.integers())
+# np.float64 and the IntEnum Label are float and int subclasses
+_LEAVES = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none(),
+                    _FLOATS.map(np.float64), st.sampled_from(Label))
+_KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none())
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(_KEYS, children)),
+    max_leaves=40)
+
+
+@given(doc=_DOCS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_json_text_is_json_dumps_with_indent_2(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(3), {1, 2}, object(), {(1, 2): 3},
+    [{"a": np.int64(3)}], ({"a": [{1, 2}]},), {"a": [object()]}, [{"a": {(1, 2): 3}}],
+], ids=["int64", "set", "object", "tuple-key", "nested-int64", "nested-set",
+        "nested-object", "nested-tuple-key"])
+def test_json_text_raises_the_type_errors_of_json_dumps(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        json_text(doc)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_text_does_not_run_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    doc = {"a": [1, 2.5, "x", None, True, (), {}], 3: {"b": np.float64(0.5)}}
+    assert json_text(doc).startswith('{\n  "a": [\n    1,\n    2.5,')
