@@ -94,9 +94,9 @@ def _check_stack(a: np.ndarray) -> None:
 def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     """One PairwiseMatrix per array, checked together as one stack.
 
-    The arrays share one square shape.  A failing matrix raises the
-    InvalidMatrix that PairwiseMatrix raises for it, with its position in
-    ``arrays`` as ``index``.  Each matrix returned is a read-only view of
+    The arrays share one square shape; a (k, n, n) array is k of them.  A
+    failing matrix raises the InvalidMatrix that PairwiseMatrix raises for
+    it, with its position in ``arrays`` as ``index``.  Each matrix returned is a read-only view of
     one checked copy of the stack, held in immutable bytes.
     """
     arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
@@ -141,10 +141,11 @@ class ConsistencyReport:
 def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     """Entrywise geometric mean of expert matrices.
 
-    Each cell is exp of the mean of the experts' logs.  The mean of
-    reciprocal matrices is reciprocal (Aczel & Saaty 1983); the diagonal is
-    set to 1 and the lower triangle to 1 / the upper one, so the result is
-    reciprocal to the last bit.  The input matrices are not modified.
+    Each cell is exp of the mean of the experts' logs: the logs are summed
+    in list order, then divided once by the number of experts.  The mean
+    of reciprocal matrices is reciprocal (Aczel & Saaty 1983); the diagonal
+    is set to 1 and the lower triangle to 1 / the upper one, so the result
+    is reciprocal to the last bit.  The input matrices are not modified.
     """
     if len(matrices) == 0:
         raise EmptyInput("need at least one matrix to aggregate")
@@ -152,10 +153,14 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     for pos, m in enumerate(matrices):
         if m.order != n:
             raise OrderMismatch(f"matrix {pos} has order {m.order}, expected {n}")
-    stack = np.stack([m.values for m in matrices])  # a fresh copy, so log in place
-    mean = np.exp(np.log(stack, out=stack).mean(axis=0))
-    upper = np.triu_indices(n, 1)
-    mean[upper[::-1]] = 1.0 / mean[upper]
+    total = np.log(matrices[0].values)
+    scratch = np.empty_like(total)
+    for m in matrices[1:]:
+        total += np.log(m.values, out=scratch)
+    total /= len(matrices)
+    mean = np.exp(total, out=total)
+    # only the kept reciprocals are computed, so none can overflow unseen
+    np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(mean, 1.0)
     return PairwiseMatrix(mean)
 

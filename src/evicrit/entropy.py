@@ -75,8 +75,9 @@ def entropy_values(p: np.ndarray) -> np.ndarray:
     m = p.shape[0]
     if m < 2:
         raise DegenerateRows(f"entropy scaling needs at least 2 rows, got {m}")
-    safe = np.where(p > 0.0, p, 1.0)
-    terms = np.where(p > 0.0, p * np.log(safe), 0.0)
+    positive = p > 0.0
+    safe = np.where(positive, p, 1.0)
+    terms = np.where(positive, p * np.log(safe), 0.0)
     e = np.clip(-terms.sum(axis=0) / math.log(m), 0.0, 1.0)
     uniform = np.ptp(p, axis=0) == 0.0
     return np.where(uniform, 1.0, e)
@@ -186,10 +187,7 @@ def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,
             raise DegeneratePriors(f"no prior for {missing[0]}")
         lam = np.array([float(priors[i]) for i in d.ids])
         adjusted_arr = adjust_weights(w, lam)
-        lam_tuple = tuple(float(v) for v in lam)
-        adjusted = tuple(float(v) for v in adjusted_arr)
-    return EntropyTable(ids=d.ids,
-                        entropy=tuple(float(v) for v in e),
-                        div=tuple(float(v) for v in dv),
-                        weights=tuple(float(v) for v in w),
-                        priors=lam_tuple, adjusted=adjusted)
+        lam_tuple = tuple(lam.tolist())
+        adjusted = tuple(adjusted_arr.tolist())
+    return EntropyTable(ids=d.ids, entropy=tuple(e.tolist()), div=tuple(dv.tolist()),
+                        weights=tuple(w.tolist()), priors=lam_tuple, adjusted=adjusted)

@@ -127,12 +127,21 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
 
 # --- ingestion ----------------------------------------------------------------
 
-def _read_text(path: str | Path) -> str:
-    """The file's UTF-8 text without a leading BOM, newlines translated to "\\n"."""
+# Each file is read once.  A loader given a ``digests`` dict stores in it,
+# under the path, the SHA-256 of the very bytes it parsed.
+
+def _read_text(path: str | Path, digests: dict | None) -> str:
+    """The file's UTF-8 text without a leading BOM, newlines translated to "\\n".
+
+    The SHA-256 of the bytes read goes into ``digests`` under ``path``
+    unless ``digests`` is None.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -151,8 +160,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _read_json(path: str | Path):
-    text = _read_text(path)
+def _read_json(path: str | Path, digests: dict | None):
+    text = _read_text(path, digests)
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except ParseError as e:
@@ -162,7 +171,7 @@ def _read_json(path: str | Path):
 
 
 def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str,
-              parse=float):
+              parse, digests: dict | None):
     """Yield (line, row, value) for each nonblank row after ``header``.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
@@ -172,7 +181,7 @@ def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str
     """
     known = set(ids)
     width = len(header)
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    reader = csv.reader(io.StringIO(_read_text(path, digests)))
     try:
         first = next(reader, None)
         if first != header:
@@ -208,7 +217,8 @@ def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
         raise MissingIndicator(f"{path}: no {what} for {', '.join(missing)}")
 
 
-def ingest_scores(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
+def ingest_scores(path: str | Path, ids: Sequence[str], *,
+                  digests: dict | None = None) -> dict[str, float]:
     """Read expert scores and average them per indicator, in ``ids`` order.
 
     The file must score every id in ``ids`` at least once, nothing outside
@@ -217,7 +227,8 @@ def ingest_scores(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     first_line: dict[tuple[str, str], int] = {}
     collected: dict[str, list[float]] = {}
     for line, (expert_id, indicator_id, _), value in _csv_rows(
-            path, ["expert_id", "indicator", "score"], ids, "score", check_score):
+            path, ["expert_id", "indicator", "score"], ids, "score", check_score,
+            digests):
         seen_at = first_line.setdefault((expert_id, indicator_id), line)
         if seen_at != line:
             raise ParseError(f"{path}:{line}: expert {expert_id!r} already "
@@ -227,10 +238,10 @@ def ingest_scores(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     return {i: math.fsum(collected[i]) / len(collected[i]) for i in ids}
 
 
-def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
-                                               list[tuple[str, PairwiseMatrix]]]:
+def ingest_matrices(path: str | Path, *, digests: dict | None = None,
+                    ) -> tuple[tuple[str, ...], list[tuple[str, PairwiseMatrix]]]:
     """Read expert pairwise matrices: (indicator ids, [(expert id, matrix)])."""
-    doc = _read_json(path)
+    doc = _read_json(path, digests)
     try:
         ids = doc["indicators"]
         experts = doc["experts"]
@@ -244,16 +255,30 @@ def ingest_matrices(path: str | Path) -> tuple[tuple[str, ...],
     if not isinstance(experts, list) or not experts:
         raise ParseError(f'{path}: "experts" must be a nonempty list')
     n = len(ids)
+    # all experts at once; any structural fault sends the file through the
+    # per-expert checks, which find the first fault and word its error
+    try:
+        expert_ids = [entry["id"] for entry in experts]
+        grid = [entry["matrix"] for entry in experts]
+        values = np.array(grid, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        values = None
+    if (values is not None and values.shape == (len(experts), n, n)
+            and all(isinstance(i, str) for i in expert_ids)
+            and len(set(expert_ids)) == len(expert_ids)
+            and set(map(type, chain.from_iterable(chain.from_iterable(grid))))
+            <= {int, float}):
+        return tuple(ids), _expert_matrices(path, expert_ids, values)
     arrays: dict[str, np.ndarray] = {}
     for pos, entry in enumerate(experts):
         try:
-            expert_id, values = _expert_entry(path, pos, entry, n, arrays)
+            expert_id, array = _expert_entry(path, pos, entry, n, arrays)
         except (ParseError, OrderMismatch):
             if arrays:  # an earlier expert's value fault comes first
-                _expert_matrices(path, arrays)
+                _expert_matrices(path, list(arrays), list(arrays.values()))
             raise
-        arrays[expert_id] = values
-    return tuple(ids), _expert_matrices(path, arrays)
+        arrays[expert_id] = array
+    return tuple(ids), _expert_matrices(path, list(arrays), list(arrays.values()))
 
 
 def _expert_entry(path: str | Path, pos: int, entry, n: int,
@@ -285,14 +310,14 @@ def _expert_entry(path: str | Path, pos: int, entry, n: int,
     return expert_id, values
 
 
-def _expert_matrices(path: str | Path, arrays: dict[str, np.ndarray]
+def _expert_matrices(path: str | Path, expert_ids: list[str], values
                      ) -> list[tuple[str, PairwiseMatrix]]:
     """(expert id, matrix) for each expert, the matrices checked as one stack."""
     try:
-        matrices = pairwise_matrices(list(arrays.values()))
+        matrices = pairwise_matrices(values)
     except InvalidMatrix as e:
-        raise InvalidMatrix(f"{path}: expert {list(arrays)[e.index]!r}: {e}") from None
-    return list(zip(arrays, matrices))
+        raise InvalidMatrix(f"{path}: expert {expert_ids[e.index]!r}: {e}") from None
+    return list(zip(expert_ids, matrices))
 
 
 def _check_prior(text: str) -> float:
@@ -302,7 +327,8 @@ def _check_prior(text: str) -> float:
     return value
 
 
-def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
+def ingest_priors(path: str | Path, ids: Sequence[str], *,
+                  digests: dict | None = None) -> dict[str, float]:
     """Read per-indicator prior weights from `indicator,lambda` CSV.
 
     The file must give exactly one nonnegative finite prior for each id in
@@ -310,7 +336,7 @@ def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     """
     priors: dict[str, float] = {}
     for line, (indicator_id, _), value in _csv_rows(
-            path, ["indicator", "lambda"], ids, "prior", _check_prior):
+            path, ["indicator", "lambda"], ids, "prior", _check_prior, digests):
         if indicator_id in priors:
             raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
         priors[indicator_id] = value
@@ -318,13 +344,14 @@ def ingest_priors(path: str | Path, ids: Sequence[str]) -> dict[str, float]:
     return {i: priors[i] for i in ids}
 
 
-def load_ri_table(path: str | Path) -> dict[int, float]:
+def load_ri_table(path: str | Path, *, digests: dict | None = None
+                  ) -> dict[int, float]:
     """The built-in random indices updated from a JSON object order -> RI.
 
     Orders 1 and 2 may have RI 0; any higher order needs a positive finite
     RI, because CR = CI / RI.
     """
-    doc = _read_json(path)
+    doc = _read_json(path, digests)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: RI table must be a JSON object")
     table = dict(DEFAULT_RI)
@@ -350,13 +377,14 @@ def _bpa_cell(path: str | Path, where: str, cell) -> Bpa:
         raise type(e)(f"{path}: {where}: {e}") from None
 
 
-def load_bpa_fixtures(path: str | Path, ids: Sequence[str]) -> dict[str, Bpa]:
+def load_bpa_fixtures(path: str | Path, ids: Sequence[str], *,
+                      digests: dict | None = None) -> dict[str, Bpa]:
     """Read per-indicator mass functions: JSON object indicator -> BPA.
 
     The object must have a key for each id in ``ids`` and no other key.
     """
     known = set(ids)
-    doc = _read_json(path)
+    doc = _read_json(path, digests)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: BPA fixtures must be a JSON object keyed "
                          f"by indicator id")
@@ -371,21 +399,12 @@ def load_bpa_fixtures(path: str | Path, ids: Sequence[str]) -> dict[str, Bpa]:
 
 def load_bpa_list(path: str | Path) -> list[Bpa]:
     """Read an ordered list of mass functions ({"bpas": [...]} or a bare list)."""
-    doc = _read_json(path)
+    doc = _read_json(path, None)
     if isinstance(doc, dict) and "bpas" in doc:
         doc = doc["bpas"]
     if not isinstance(doc, list) or not doc:
         raise ParseError(f"{path}: expected a nonempty list of BPA objects")
     return [_bpa_cell(path, f"bpas[{pos}]", cell) for pos, cell in enumerate(doc)]
-
-
-def _input_record(path: str | Path) -> dict[str, str]:
-    """The manifest entry of an input file: its path and the SHA-256 of its bytes."""
-    try:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    return {"path": str(path), "sha256": digest}
 
 
 # --- manifest -----------------------------------------------------------------
@@ -462,26 +481,28 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     config = config.validated()
     timings: dict[str, float] = {}
 
-    inputs: dict[str, dict] = {}
+    digests: dict = {}  # input path -> SHA-256 of the bytes parsed from it
     with _stage("ingest", timings):
         # the matrices file names the run's indicators; every other input
         # must cover exactly those ids
-        ids, experts = ingest_matrices(config.matrices)
-        scores = ingest_scores(config.scores, ids)
-        inputs["scores"] = _input_record(config.scores)
-        inputs["matrices"] = _input_record(config.matrices)
+        ids, experts = ingest_matrices(config.matrices, digests=digests)
+        scores = ingest_scores(config.scores, ids, digests=digests)
         priors = None
         if config.priors is not None:
-            priors = ingest_priors(config.priors, ids)
-            inputs["priors"] = _input_record(config.priors)
+            priors = ingest_priors(config.priors, ids, digests=digests)
         ri_table = None
         if config.ri_table is not None:
-            ri_table = load_ri_table(config.ri_table)
-            inputs["ri_table"] = _input_record(config.ri_table)
+            ri_table = load_ri_table(config.ri_table, digests=digests)
         fixtures = None
         if config.bpa_fixtures is not None:
-            fixtures = load_bpa_fixtures(config.bpa_fixtures, ids)
-            inputs["bpa_fixtures"] = _input_record(config.bpa_fixtures)
+            fixtures = load_bpa_fixtures(config.bpa_fixtures, ids, digests=digests)
+    inputs = {name: {"path": str(path), "sha256": digests[path]}
+              for name, path in (("scores", config.scores),
+                                 ("matrices", config.matrices),
+                                 ("priors", config.priors),
+                                 ("ri_table", config.ri_table),
+                                 ("bpa_fixtures", config.bpa_fixtures))
+              if path is not None}
 
     with _stage("aggregate", timings):
         aggregated = aggregate_geometric([m for _, m in experts])

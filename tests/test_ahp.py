@@ -191,19 +191,28 @@ def reference_aggregate(matrices):
     return mean
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (14, 2), (14, 256), (200, 8)])
+@pytest.mark.parametrize("n,k", [(2, 1), (14, 2), (14, 256), (200, 8),
+                                 (2, 1000), (3, 257)])
 def test_aggregate_geometric_matches_the_loop_reference_bit_for_bit(n, k):
     rng = np.random.default_rng([n, k])
-    panel = [random_reciprocal(rng, n).values.copy() for _ in range(k)]
-    panel[0][0, 0] = 1 + 1e-10  # within the reciprocity tolerance
-    panel = [PairwiseMatrix(a) for a in panel]
-    before = [m.values.tobytes() for m in panel]
-    v = aggregate_geometric(panel).values
-    assert v.tobytes() == reference_aggregate(panel).tobytes()
+    judgments = [random_reciprocal(rng, n).values for _ in range(k)]
     upper = np.triu_indices(n, 1)
-    assert np.array_equal(v.T[upper], 1.0 / v[upper])
-    assert np.all(np.diag(v) == 1.0)
-    assert [m.values.tobytes() for m in panel] == before
+    # at scale 1e300 the upper cells are near 1e300 and the lower ones near
+    # 1e-300: a reciprocal computed and then discarded that overflowed would
+    # raise a RuntimeWarning, which pytest turns into an error
+    for scale in (1.0, 1e300):
+        panel = [a.copy() for a in judgments]
+        for a in panel:
+            a[upper] *= scale
+            a[upper[::-1]] = 1.0 / a[upper]
+        panel[0][0, 0] = 1 + 1e-10  # within the reciprocity tolerance
+        panel = [PairwiseMatrix(a) for a in panel]
+        before = [m.values.tobytes() for m in panel]
+        v = aggregate_geometric(panel).values
+        assert v.tobytes() == reference_aggregate(panel).tobytes()
+        assert np.array_equal(v.T[upper], 1.0 / v[upper])
+        assert np.all(np.diag(v) == 1.0)
+        assert [m.values.tobytes() for m in panel] == before
 
 
 def test_aggregate_rejects_empty_and_mismatched():

@@ -144,7 +144,10 @@ def test_expert_id_must_be_a_json_string(tmp_path, bad_id):
      "expert 'e0': matrix cell (1,2) is True, not a number"),
     ([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0], [0.5, 1.0]], [[1.0, 2.0, 3.0], [0.5, 1.0, 1.0]]],
      errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
-], ids=["nonreciprocal-then-string", "true-then-nonreciprocal", "zero-then-shape"])
+    ([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0], [0.5, 1.0]], [[1.0, 2.0], [1.0, 1.0]]],
+     errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
+], ids=["nonreciprocal-then-string", "true-then-nonreciprocal", "zero-then-shape",
+        "zero-then-nonreciprocal"])
 def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
     # the matrices are checked after every expert's structural checks, but a
     # value fault of an expert before a structurally broken one comes first

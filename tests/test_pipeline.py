@@ -1,5 +1,6 @@
 """Ingestion, orchestration, emission, and the command line."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -265,6 +266,33 @@ def test_inputs_with_byte_order_mark(tmp_path, inputs):
         assert bom[key] == plain[key]
     # digests stay over the bytes on disk, mark included
     for entry in bom["inputs"].values():
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+
+
+def test_run_pipeline_reads_each_input_once(tmp_path, inputs, monkeypatch):
+    doc = {i: {"frame": ["VL", "L", "M", "H", "VH"],
+               "masses": [{"subset": ["H"], "mass": 1.0}]} for i in CATALOG_IDS}
+    fixtures = write(tmp_path / "f.json", json.dumps(doc))
+    opened = []
+    path_open, builtin_open = Path.open, builtins.open
+
+    def counting_path_open(self, *args, **kwargs):
+        opened.append(Path(self))
+        return path_open(self, *args, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file))
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_path_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    manifest = run_example(inputs, bpa_fixtures=fixtures)
+    monkeypatch.undo()
+    paths = [*inputs.values(), fixtures]
+    assert [opened.count(path) for path in paths] == [1] * len(paths)
+    # the digests are over the bytes parsed, which are the bytes on disk
+    for entry in manifest.inputs.values():
         assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
 
 
