@@ -99,12 +99,15 @@ def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     it, with its position in ``arrays`` as ``index``.  Each matrix returned is a read-only view of
     one checked copy of the stack, held in immutable bytes.
     """
-    arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
-    shapes = sorted({a.shape for a in arrays})
-    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+    try:
+        stack = np.asarray(arrays, dtype=float)
+    except (TypeError, ValueError):  # ragged, or a cell that is not a number
+        stack = None
+    if stack is None or stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        shapes = sorted({np.asarray(a, dtype=float).shape for a in arrays})
         raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
     # the one copy goes to immutable bytes, as in PairwiseMatrix
-    stack = np.frombuffer(b"".join(arrays), dtype=float).reshape(len(arrays), *shapes[0])
+    stack = np.frombuffer(stack.tobytes(), dtype=float).reshape(stack.shape)
     _check_stack(stack)
     matrices = []
     for values in stack:

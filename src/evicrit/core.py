@@ -4,17 +4,16 @@ the fourteen-indicator catalog whose descriptions the text report shows.
 All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
 are deterministic (always grade order).  Every mass function lives on that
-frame: a vector with one slot per subset, indexed by its bits.
+frame: an immutable tuple of 32 floats, one slot per subset, indexed by its
+bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     FrameMismatch,
@@ -88,7 +87,7 @@ class Subset:
                 bits |= _NAME_BITS[name]
             except (KeyError, TypeError):
                 parse_label(name)  # raises its error for an unknown name
-        return cls(bits)
+        return SUBSETS[bits]
 
     @property
     def members(self) -> tuple[Label, ...]:
@@ -133,9 +132,6 @@ _SLOT_NAMES: tuple[tuple[str, ...], ...] = tuple(
 #: slots in canonical order: smallest sets first, then grade order within a size
 CANONICAL_ORDER: tuple[int, ...] = tuple(
     sorted(range(SLOTS), key=lambda bits: (bits.bit_count(), bits)))
-#: AND_TABLE[a, b] is the slot of the intersection of slots a and b
-AND_TABLE = np.bitwise_and.outer(np.arange(SLOTS), np.arange(SLOTS))
-AND_TABLE.setflags(write=False)
 
 
 def subsets_of() -> tuple[Subset, ...]:
@@ -143,46 +139,43 @@ def subsets_of() -> tuple[Subset, ...]:
     return SUBSETS
 
 
+@dataclass(frozen=True)
 class Bpa:
     """A basic probability assignment: unit belief mass over grade subsets.
 
-    The masses live in one read-only float64 vector of ``SLOTS`` entries;
-    slot ``i`` holds the mass of ``Subset(i)``.  Given a mapping from subset
-    to mass, the constructor fills those slots; given a slot vector, it
-    keeps that array and makes it read-only.  Every mass function lives
-    on the five-grade frame; one defined on fewer grades is the same vector
-    with no mass on subsets outside them.
+    The masses live in ``vector``, an immutable tuple of ``SLOTS`` floats;
+    slot ``i`` holds the mass of ``Subset(i)``.  The constructor takes a
+    mapping from subset to mass or ``SLOTS`` slot values (a list, tuple or
+    array) and always copies them into a new tuple, so nothing the caller
+    keeps can change the Bpa, and ``vector`` cannot be reassigned.  Every
+    mass function lives on the five-grade frame; one defined on fewer
+    grades is the same vector with no mass on subsets outside them.
     """
 
-    __slots__ = ("vector",)
+    vector: tuple[float, ...]
 
-    def __init__(self, masses: Mapping[Subset, float] | np.ndarray):
-        if isinstance(masses, np.ndarray):
-            if masses.shape != (SLOTS,):
-                raise ValueError(f"slot vector needs shape ({SLOTS},), got {masses.shape}")
-        else:
-            vector = [0.0] * SLOTS
+    def __init__(self, masses: Mapping[Subset, float] | Iterable[float]):
+        if isinstance(masses, Mapping):
+            slots = [0.0] * SLOTS
             for subset, mass in masses.items():
-                vector[subset.bits] = float(mass)
-            masses = np.array(vector)
-        masses.setflags(write=False)
-        self.vector = masses
+                slots[subset.bits] = float(mass)
+            vector = tuple(slots)
+        else:
+            vector = tuple(map(float, masses))
+            if len(vector) != SLOTS:
+                raise ValueError(f"need {SLOTS} slot values, got {len(vector)}")
+        object.__setattr__(self, "vector", vector)
 
     def mass(self, subset: Subset) -> float:
-        return float(self.vector[subset.bits])
+        return self.vector[subset.bits]
 
     def focal(self) -> tuple[tuple[Subset, float], ...]:
         """(subset, mass) pairs with positive mass, in canonical order."""
-        values = self.vector.tolist()
+        values = self.vector
         return tuple((SUBSETS[i], values[i]) for i in CANONICAL_ORDER if values[i] > 0.0)
 
     def total(self) -> float:
-        return math.fsum(self.vector.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bpa):
-            return NotImplemented
-        return bool(np.array_equal(self.vector, other.vector))
+        return math.fsum(self.vector)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m:.6g}" for s, m in self.focal())
@@ -220,7 +213,7 @@ def unit_normalized(masses: Sequence[float]) -> Bpa:
             break
         # index() finds the first maximum, so the lowest bits win a tie
         positive[positive.index(max(positive))] += residue
-    return Bpa(np.array(positive))
+    return Bpa(positive)
 
 
 def validate_bpa(b: Bpa) -> Bpa:
@@ -231,7 +224,7 @@ def validate_bpa(b: Bpa) -> Bpa:
     proportionally; a larger gap, a mass outside [0, 1] or positive mass on
     the empty set is an error.
     """
-    values = b.vector.tolist()
+    values = b.vector
     for bits in CANONICAL_ORDER:
         mass = values[bits]
         if math.isnan(mass) or not 0.0 <= mass <= 1.0:
@@ -244,7 +237,7 @@ def validate_bpa(b: Bpa) -> Bpa:
         raise MassSumInvalid(f"masses sum to {total!r}, not 1")
     if total == 1.0:
         return b
-    return unit_normalized(b.vector.tolist())
+    return unit_normalized(b.vector)
 
 
 # --- BPA fixture format (JSON) ----------------------------------------------
@@ -294,7 +287,7 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     for bits in CANONICAL_ORDER:
         if vector[bits] != 0.0 and not SUBSETS[bits].issubset(frame):
             raise FrameMismatch(f"focal set {SUBSETS[bits]} outside frame {frame}")
-    return validate_bpa(Bpa(np.array(vector)))
+    return validate_bpa(Bpa(vector))
 
 
 # --- indicator catalog -------------------------------------------------------

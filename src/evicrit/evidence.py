@@ -1,9 +1,10 @@
 """Evidence fusion: conflict, Dempster's rule, Murphy's averaging rule, the
 pignistic transform, and ranking.
 
-The kernels work on each Bpa's slot vector.  Every sum they form is one
-``math.fsum``, which is correctly rounded, so results do not depend on the
-order of the focal sets and Dempster's rule is commutative bit for bit.
+The kernels work on each Bpa's tuple of slot masses.  Every sum they form
+is one ``math.fsum``, which is correctly rounded, so results do not depend
+on the order of the focal sets and Dempster's rule is commutative bit for
+bit.
 
 ``brute_force_combine`` re-derives Dempster's rule by enumerating every
 subset pair of the frame with no sparsity shortcuts; it exists purely as an
@@ -19,12 +20,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    AND_TABLE,
     EMPTY_SET,
     FRAME,
     MASS_PRUNE_EPS,
     SLOTS,
-    SUBSETS,
     Bpa,
     Label,
     subsets_of,
@@ -44,16 +43,14 @@ class CombinationResult:
     conflict_k: float
 
 
+#: AND_TABLE[a, b] is the slot of the intersection of slots a and b
+AND_TABLE = np.bitwise_and.outer(np.arange(SLOTS), np.arange(SLOTS))
+AND_TABLE.setflags(write=False)
 #: the outer product's (row, column) pairs grouped by the slot of their
 #: intersection, and where each slot's group starts
 _BY_TARGET = np.argsort(AND_TABLE.ravel(), kind="stable")
 _ROWS, _COLS = np.divmod(_BY_TARGET, SLOTS)
 _TARGET_STARTS = np.searchsorted(AND_TABLE.ravel()[_BY_TARGET], np.arange(SLOTS))
-#: per grade, the slots whose subsets hold it, and those subsets' sizes
-_MEMBER_SLOTS = np.array([[bits for bits in range(SLOTS) if bits >> int(label) & 1]
-                          for label in FRAME])
-_MEMBER_SIZES = np.array([[len(SUBSETS[bits]) for bits in row] for row in _MEMBER_SLOTS],
-                         dtype=float)
 
 
 def _conjunctive(m1: Bpa, m2: Bpa) -> list[float]:
@@ -112,7 +109,7 @@ def brute_force_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     if 1.0 - k <= CONFLICT_EPS:
         raise TotalConflict(f"total conflict (k = {k!r}); combination undefined",
                             conflict_k=k)
-    vector = np.zeros(SLOTS)
+    vector = [0.0] * SLOTS
     for subset in universe:
         if not subset.is_empty():
             vector[subset.bits] = accumulated[subset] / (1.0 - k)
@@ -123,11 +120,10 @@ def average_bpas(bpas: Sequence[Bpa]) -> Bpa:
     """Focal-set-wise arithmetic mean of several mass functions."""
     if len(bpas) == 0:
         raise EmptyInput("need at least one mass function to average")
-    stacked = np.array([b.vector for b in bpas])
-    columns = np.where(stacked > 0.0, stacked, 0.0).T.tolist()
     n = len(bpas)
-    means = [math.fsum(column) / n for column in columns]
-    return unit_normalized(means)
+    columns = zip(*(b.vector for b in bpas))
+    return unit_normalized([math.fsum(m for m in column if m > 0.0) / n
+                            for column in columns])
 
 
 def murphy_combine(bpas: Sequence[Bpa]) -> CombinationResult:
@@ -154,9 +150,10 @@ def pignistic(b: Bpa) -> dict[Label, float]:
 
     The result is a probability over single grades (BetP), summing to 1.
     """
-    positive = np.where(b.vector > 0.0, b.vector, 0.0)
-    shares = (positive[_MEMBER_SLOTS] / _MEMBER_SIZES).tolist()
-    return {label: math.fsum(row) for label, row in zip(FRAME, shares)}
+    shares = [(bits, mass / bits.bit_count())
+              for bits, mass in enumerate(b.vector) if bits and mass > 0.0]
+    return {label: math.fsum(share for bits, share in shares if bits >> label & 1)
+            for label in FRAME}
 
 
 @dataclass(frozen=True)

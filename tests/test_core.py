@@ -14,6 +14,7 @@ from evicrit.core import (
     EMPTY_SET,
     FRAME,
     FULL_SET,
+    SUBSETS,
     Bpa,
     Label,
     Subset,
@@ -48,6 +49,7 @@ def test_parse_label():
 def test_subset_construction():
     s = Subset.of(Label.M, Label.H)
     assert s == Subset.from_names(["H", "M"])
+    assert Subset.from_names(["H", "M"]) is SUBSETS[s.bits]
     assert s.members == (Label.M, Label.H)
     assert s.names() == ("M", "H")
     assert len(s) == 2
@@ -106,7 +108,7 @@ def test_unit_normalized_scales_and_drops():
     assert b.mass(h) == 0.5
     assert b.mass(m) == 0.5
     assert b.mass(FULL_SET) == 0.0
-    assert math.fsum(b.vector.tolist()) == 1.0
+    assert math.fsum(list(b.vector)) == 1.0
 
 
 def test_unit_normalized_rejects_nothing_positive():
@@ -150,8 +152,8 @@ def raw_masses(draw):
 @settings(max_examples=300)
 def test_unit_normalized_total_is_exactly_one(masses):
     b = unit_normalized(slots(masses))
-    assert math.fsum(b.vector.tolist()) == 1.0
-    assert all(v >= 0.0 for v in b.vector.tolist())
+    assert math.fsum(list(b.vector)) == 1.0
+    assert all(v >= 0.0 for v in list(b.vector))
 
 
 @given(raw_masses())
@@ -160,7 +162,7 @@ def test_validate_bpa_idempotent(masses):
     b = validate_bpa(unit_normalized(slots(masses)))
     again = validate_bpa(b)
     assert again == b
-    assert again.vector.tolist() == b.vector.tolist()
+    assert list(again.vector) == list(b.vector)
 
 
 @given(raw_masses())

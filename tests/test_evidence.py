@@ -76,7 +76,7 @@ def test_brute_force_normalizes_on_its_own(monkeypatch):
     assert got.bpa.mass(Subset.of(Label.H)) == pytest.approx(0.42 / 0.7, abs=1e-15)
     assert got.bpa.mass(Subset.of(Label.L)) == pytest.approx(0.2 / 0.7, abs=1e-15)
     assert got.bpa.mass(FULL_SET) == pytest.approx(0.08 / 0.7, abs=1e-15)
-    assert math.fsum(got.bpa.vector.tolist()) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(list(got.bpa.vector)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dempster_normalizes_conflicting_mass():
@@ -252,9 +252,9 @@ def test_combined_mass_is_normalized(seed):
         result = dempster_combine(m1, m2)
     except errors.TotalConflict:
         return
-    total = math.fsum(result.bpa.vector.tolist())
+    total = math.fsum(list(result.bpa.vector))
     assert total == 1.0
-    assert all(m >= 0.0 for m in result.bpa.vector.tolist())
+    assert all(m >= 0.0 for m in list(result.bpa.vector))
 
 
 @given(_seeds)
@@ -323,4 +323,4 @@ def test_dempster_matches_bucketed_reference_exactly(seed, focal_1, focal_2):
         return
     got = dempster_combine(m1, m2)
     assert got.conflict_k == want[0]
-    assert got.bpa.vector.tolist() == slots(want[1])
+    assert list(got.bpa.vector) == slots(want[1])

@@ -190,8 +190,8 @@ def test_lipschitz_bound(x, y):
 @settings(max_examples=300)
 def test_to_bpa_is_always_valid(x, alpha, mode):
     b = to_bpa(membership(x), alpha=alpha, overlap_mode=mode)
-    assert math.fsum(b.vector.tolist()) == 1.0
-    assert all(m >= 0.0 for m in b.vector.tolist())
+    assert math.fsum(list(b.vector)) == 1.0
+    assert all(m >= 0.0 for m in list(b.vector))
 
 
 @given(_scores)
