@@ -24,6 +24,7 @@ from .core import (
     FRAME,
     MASS_PRUNE_EPS,
     SLOTS,
+    SUBSETS,
     Bpa,
     Label,
     subsets_of,
@@ -104,7 +105,7 @@ def brute_force_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     accumulated = {subset: 0.0 for subset in universe}
     for a in universe:
         for b in universe:
-            accumulated[a & b] += m1.mass(a) * m2.mass(b)
+            accumulated[SUBSETS[a.bits & b.bits]] += m1.mass(a) * m2.mass(b)
     k = accumulated[EMPTY_SET]
     if 1.0 - k <= CONFLICT_EPS:
         raise TotalConflict(f"total conflict (k = {k!r}); combination undefined",

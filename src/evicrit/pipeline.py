@@ -170,18 +170,53 @@ def _read_json(path: str | Path, digests: dict | None):
         raise ParseError(f"{path}: invalid JSON: {e}") from None
 
 
-def _csv_rows(path: str | Path, header: list[str], ids: Sequence[str], what: str,
-              parse, digests: dict | None):
+def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
+    """(indicator, value) pairs of a CSV file's nonblank rows after ``header``.
+
+    Every check of ``_csv_rows`` runs once on whole columns, as do the two
+    the loaders add: no row repeats its key (all columns but the number) and
+    the rows cover ``ids``.  None when any check fails or the text is not
+    CSV; the row walk then names the first faulty line.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text), strict=True))
+    except csv.Error:
+        return None
+    body = [row for row in rows[1:] if row]
+    if rows[:1] != [header] or not body or set(map(len, body)) != {len(header)}:
+        return None
+    *keys, indicators, numbers = zip(*body)
+    joined = "".join(numbers)
+    if ("_" in joined or not joined.isascii() or set(indicators) != set(ids)
+            or len(set(zip(*keys, indicators))) != len(body)):
+        return None
+    try:
+        values = list(map(float, numbers))
+        parse(min(values))
+        parse(max(values))
+    except (ValueError, EvicritError):
+        return None
+    # min and max can pass over a NaN, but it makes the sum NaN, which the
+    # in-range values alone never do
+    if math.isnan(sum(values)):
+        return None
+    return zip(indicators, values)
+
+
+def _csv_rows(path: str | Path, text: str, header: list[str], ids: Sequence[str],
+              what: str, parse):
     """Yield (line, row, value) for each nonblank row after ``header``.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
     column and a number (the row's ``what``) in its last, which ``parse``
     turns into ``value``; ``line`` is the line on which the row ends.  The
     number must be ASCII without ``_``, which ``float`` alone does not ask.
+    The loaders walk rows only where ``_csv_columns`` fails, to name the
+    first faulty line.
     """
     known = set(ids)
     width = len(header)
-    reader = csv.reader(io.StringIO(_read_text(path, digests)))
+    reader = csv.reader(io.StringIO(text), strict=True)
     try:
         first = next(reader, None)
         if first != header:
@@ -224,18 +259,24 @@ def ingest_scores(path: str | Path, ids: Sequence[str], *,
     The file must score every id in ``ids`` at least once, nothing outside
     ``ids``, and each (expert, indicator) pair at most once.
     """
-    first_line: dict[tuple[str, str], int] = {}
-    collected: dict[str, list[float]] = {}
-    for line, (expert_id, indicator_id, _), value in _csv_rows(
-            path, ["expert_id", "indicator", "score"], ids, "score", check_score,
-            digests):
-        seen_at = first_line.setdefault((expert_id, indicator_id), line)
-        if seen_at != line:
-            raise ParseError(f"{path}:{line}: expert {expert_id!r} already "
-                             f"scored {indicator_id} at line {seen_at}")
-        collected.setdefault(indicator_id, []).append(value)
-    _check_covered(path, ids, collected, "scores")
-    return {i: math.fsum(collected[i]) / len(collected[i]) for i in ids}
+    header = ["expert_id", "indicator", "score"]
+    text = _read_text(path, digests)
+    pairs = _csv_columns(text, header, ids, check_score)
+    if pairs is None:
+        first_line: dict[tuple[str, str], int] = {}
+        pairs = []
+        for line, (expert_id, indicator_id, _), value in _csv_rows(
+                path, text, header, ids, "score", check_score):
+            seen_at = first_line.setdefault((expert_id, indicator_id), line)
+            if seen_at != line:
+                raise ParseError(f"{path}:{line}: expert {expert_id!r} already "
+                                 f"scored {indicator_id} at line {seen_at}")
+            pairs.append((indicator_id, value))
+        _check_covered(path, ids, {i for i, _ in pairs}, "scores")
+    collected: dict[str, list[float]] = {i: [] for i in ids}
+    for indicator_id, value in pairs:
+        collected[indicator_id].append(value)
+    return {i: math.fsum(values) / len(values) for i, values in collected.items()}
 
 
 def ingest_matrices(path: str | Path, *, digests: dict | None = None,
@@ -255,19 +296,24 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
     if not isinstance(experts, list) or not experts:
         raise ParseError(f'{path}: "experts" must be a nonempty list')
     n = len(ids)
-    # all experts at once; any structural fault sends the file through the
-    # per-expert checks, which find the first fault and word its error
+    k = len(experts)
+    # all experts at once, their cells flattened once; any structural fault
+    # sends the file through the per-expert checks, which find the first
+    # fault and word its error
+    values = None
     try:
         expert_ids = [entry["id"] for entry in experts]
         grid = [entry["matrix"] for entry in experts]
-        values = np.array(grid, dtype=float)
+        rows = list(chain.from_iterable(grid))
+        if (set(map(len, grid)) == {n} and set(map(len, rows)) == {n}
+                and all(isinstance(i, str) for i in expert_ids)
+                and len(set(expert_ids)) == k
+                and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+            values = np.fromiter(chain.from_iterable(rows), dtype=float,
+                                 count=k * n * n).reshape(k, n, n)
     except (KeyError, TypeError, ValueError, OverflowError):
-        values = None
-    if (values is not None and values.shape == (len(experts), n, n)
-            and all(isinstance(i, str) for i in expert_ids)
-            and len(set(expert_ids)) == len(expert_ids)
-            and set(map(type, chain.from_iterable(chain.from_iterable(grid))))
-            <= {int, float}):
+        pass
+    if values is not None:
         return tuple(ids), _expert_matrices(path, expert_ids, values)
     arrays: dict[str, np.ndarray] = {}
     for pos, entry in enumerate(experts):
@@ -320,8 +366,8 @@ def _expert_matrices(path: str | Path, expert_ids: list[str], values
     return list(zip(expert_ids, matrices))
 
 
-def _check_prior(text: str) -> float:
-    value = float(text)
+def _check_prior(number: str | float) -> float:
+    value = float(number)
     if not 0.0 <= value < math.inf:
         raise DegeneratePriors(f"prior {value!r} is not a nonnegative finite real")
     return value
@@ -334,13 +380,19 @@ def ingest_priors(path: str | Path, ids: Sequence[str], *,
     The file must give exactly one nonnegative finite prior for each id in
     ``ids`` and none for any other id.
     """
-    priors: dict[str, float] = {}
-    for line, (indicator_id, _), value in _csv_rows(
-            path, ["indicator", "lambda"], ids, "prior", _check_prior, digests):
-        if indicator_id in priors:
-            raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
-        priors[indicator_id] = value
-    _check_covered(path, ids, priors, "prior")
+    header = ["indicator", "lambda"]
+    text = _read_text(path, digests)
+    pairs = _csv_columns(text, header, ids, _check_prior)
+    if pairs is None:
+        priors: dict[str, float] = {}
+        for line, (indicator_id, _), value in _csv_rows(
+                path, text, header, ids, "prior", _check_prior):
+            if indicator_id in priors:
+                raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
+            priors[indicator_id] = value
+        _check_covered(path, ids, priors, "prior")
+    else:
+        priors = dict(pairs)
     return {i: priors[i] for i in ids}
 
 

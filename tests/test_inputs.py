@@ -160,6 +160,43 @@ def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
     assert str(exc.value) == f"{p}: {message}"
 
 
+GOOD = [[1.0, 2.0], [0.5, 1.0]]
+
+
+@pytest.mark.parametrize("matrix,error,message", [
+    ([[True, 2.0], [0.5, 1.0]], errors.ParseError, "matrix cell (1,1) is True, not a number"),
+    ([[1.0, False], [0.5, 1.0]], errors.ParseError, "matrix cell (1,2) is False, not a number"),
+    ([[1.0, 2.0], [None, 1.0]], errors.ParseError, "matrix cell (2,1) is None, not a number"),
+    ([[1.0, 2.0], [0.5, "1.0"]], errors.ParseError, "matrix cell (2,2) is '1.0', not a number"),
+    ([[1.0, 2.0], [0.5]], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, 2.0, 3.0], [0.5, 1.0]], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, 2.0], 7], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, 2.0], "ab"], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, 2.0], {"ab": 1, "cd": 2}], errors.ParseError, "matrix is not rectangular numeric"),
+    ("ab", errors.ParseError, "matrix is not rectangular numeric"),
+    ({"ab": [1.0, 2.0], "cd": [0.5, 1.0]}, errors.ParseError,
+     "matrix is not rectangular numeric"),
+    ([[1.0, [2.0]], [0.5, 1.0]], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, HUGE], [0.5, 1.0]], errors.ParseError, "matrix is not rectangular numeric"),
+    ([[1.0, 2.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 1.0]], errors.OrderMismatch,
+     "matrix shape (3, 3) does not match 2 indicators"),
+], ids=["true-diagonal", "false", "null", "string-diagonal", "short-row", "long-row",
+        "number-row", "string-row", "object-row", "string-matrix", "object-matrix",
+        "nested-cell", "401-digit-int", "wrong-order"])
+def test_malformed_matrix_between_good_ones(tmp_path, matrix, error, message):
+    # each would pass a check of lengths or a float conversion alone: true
+    # and "1.0" become 1.0, which is reciprocal to itself on the diagonal,
+    # and strings and objects have lengths
+    doc = {"indicators": list(IDS),
+           "experts": [{"id": "e0", "matrix": GOOD}, {"id": "e1", "matrix": matrix},
+                       {"id": "e2", "matrix": GOOD}]}
+    p = write(tmp_path / "m.json", json.dumps(doc))
+    with pytest.raises(error) as exc:
+        ingest_matrices(p)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{p}: expert 'e1': {message}"
+
+
 def test_repeated_json_key_is_parse_error(tmp_path):
     first, second = json.dumps(bpa_doc(("H",))), json.dumps(bpa_doc(("VL",)))
     p = write(tmp_path / "f.json", f'{{"A": {first}, "B": {first}, "A": {second}}}')
@@ -192,6 +229,20 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
     with pytest.raises(errors.ParseError) as exc:
         ingest_scores(p, IDS)
     assert f"{p}:4:" in str(exc.value)
+
+
+@pytest.mark.parametrize("name,loader,edit,where", [
+    ("priors.csv", ingest_priors, lambda t: t.replace("B14,0.1833", 'B14,"0.1"5'),
+     ":15: ',' expected after '\"'"),
+    ("scores.csv", ingest_scores, lambda t: t + 'e9,B1,"5', ":44: unexpected end of data"),
+], ids=["prior-text-after-quote", "score-unterminated-quote"])
+def test_malformed_csv_quoting_is_parse_error(tmp_path, example, name, loader, edit, where):
+    # a lenient CSV reader reads these as prior 0.15 for B14 and score 5
+    ids, _ = ingest_matrices(example["matrices.json"])
+    p = write(tmp_path / name, edit(example[name].read_text()))
+    with pytest.raises(errors.ParseError) as exc:
+        loader(p, ids)
+    assert str(exc.value) == f"{p}{where}"
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
