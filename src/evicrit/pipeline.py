@@ -10,10 +10,13 @@ attribute.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,6 +110,13 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if not isinstance(self.force, bool):
             raise ConfigError(f"force must be true or false, got {self.force!r}")
+        for name in ("scores", "matrices", "priors", "bpa_fixtures", "ri_table",
+                     "out_dir", "chart"):
+            value = getattr(self, name)
+            if value is None and name not in ("scores", "matrices"):
+                continue
+            if not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
         return self
 
 
@@ -129,6 +139,29 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
 
 # Each file is read once.  A loader given a ``digests`` dict stores in it,
 # under the path, the SHA-256 of the very bytes it parsed.
+
+def _collector_paused(loader):
+    """``loader`` run with the cyclic garbage collector paused.
+
+    A parse builds thousands of lists, dicts and CSV rows, and under
+    CPython's default thresholds every 700 of them start a collector pass
+    that rescans the still-live document.  Such a pass finds nothing to
+    collect: parsed JSON and CSV hold no reference cycles, nor do the
+    loaders' results, so reference counting frees all of it.  The pause
+    covers the whole loader, because the document lives until the loader
+    returns.  A collector the caller disabled stays disabled.
+    """
+    @functools.wraps(loader)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return loader(*args, **kwargs)
+        gc.disable()
+        try:
+            return loader(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
 
 def _read_text(path: str | Path, digests: dict | None) -> str:
     """The file's UTF-8 text without a leading BOM, newlines translated to "\\n".
@@ -252,6 +285,7 @@ def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
         raise MissingIndicator(f"{path}: no {what} for {', '.join(missing)}")
 
 
+@_collector_paused
 def ingest_scores(path: str | Path, ids: Sequence[str], *,
                   digests: dict | None = None) -> dict[str, float]:
     """Read expert scores and average them per indicator, in ``ids`` order.
@@ -279,6 +313,7 @@ def ingest_scores(path: str | Path, ids: Sequence[str], *,
     return {i: math.fsum(values) / len(values) for i, values in collected.items()}
 
 
+@_collector_paused
 def ingest_matrices(path: str | Path, *, digests: dict | None = None,
                     ) -> tuple[tuple[str, ...], list[tuple[str, PairwiseMatrix]]]:
     """Read expert pairwise matrices: (indicator ids, [(expert id, matrix)])."""
@@ -373,6 +408,7 @@ def _check_prior(number: str | float) -> float:
     return value
 
 
+@_collector_paused
 def ingest_priors(path: str | Path, ids: Sequence[str], *,
                   digests: dict | None = None) -> dict[str, float]:
     """Read per-indicator prior weights from `indicator,lambda` CSV.
@@ -396,6 +432,7 @@ def ingest_priors(path: str | Path, ids: Sequence[str], *,
     return {i: priors[i] for i in ids}
 
 
+@_collector_paused
 def load_ri_table(path: str | Path, *, digests: dict | None = None
                   ) -> dict[int, float]:
     """The built-in random indices updated from a JSON object order -> RI.
@@ -429,6 +466,7 @@ def _bpa_cell(path: str | Path, where: str, cell) -> Bpa:
         raise type(e)(f"{path}: {where}: {e}") from None
 
 
+@_collector_paused
 def load_bpa_fixtures(path: str | Path, ids: Sequence[str], *,
                       digests: dict | None = None) -> dict[str, Bpa]:
     """Read per-indicator mass functions: JSON object indicator -> BPA.
@@ -449,6 +487,7 @@ def load_bpa_fixtures(path: str | Path, ids: Sequence[str], *,
     return {i: out[i] for i in ids}
 
 
+@_collector_paused
 def load_bpa_list(path: str | Path) -> list[Bpa]:
     """Read an ordered list of mass functions ({"bpas": [...]} or a bare list)."""
     doc = _read_json(path, None)

@@ -384,11 +384,15 @@ def test_run_pipeline_rejects_bad_config(inputs):
 @pytest.mark.parametrize("field, value", [
     ("alpha", "0.8"), ("alpha", True), ("alpha", None),
     ("window", True), ("window", 2.5), ("window", "4"), ("stride", 2.0),
-    ("force", "no"), ("force", 1)])
+    ("force", "no"), ("force", 1),
+    ("scores", None), ("matrices", None), ("matrices", b"m.json"),
+    ("priors", 7), ("bpa_fixtures", True), ("ri_table", ["ri.json"]),
+    ("out_dir", 5), ("chart", 3.5)])
 def test_run_pipeline_rejects_wrongly_typed_config(tmp_path, field, value):
     # checked before any input is read: the paths need not exist
-    config = PipelineConfig(scores=tmp_path / "no-scores.csv",
-                            matrices=tmp_path / "no-matrices.json", **{field: value})
+    config = PipelineConfig(**{"scores": tmp_path / "no-scores.csv",
+                               "matrices": tmp_path / "no-matrices.json",
+                               field: value})
     with pytest.raises(errors.ConfigError, match=field):
         run_pipeline(config)
 
