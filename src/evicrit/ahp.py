@@ -44,14 +44,8 @@ class PairwiseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        # the one copy goes to immutable bytes, so no array over them can
-        # be made writeable again
-        a = np.frombuffer(a.tobytes(), dtype=float).reshape(a.shape)
-        _check_stack(a[None])
-        object.__setattr__(self, "values", a)
+        # one matrix is a stack of one
+        object.__setattr__(self, "values", pairwise_matrices([self.values])[0].values)
 
     @property
     def order(self) -> int:
@@ -91,23 +85,33 @@ def _check_stack(a: np.ndarray) -> None:
     raise error
 
 
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` held in immutable bytes, so that no array
+    in its ``.base`` chain can be made writeable again."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     """One PairwiseMatrix per array, checked together as one stack.
 
-    The arrays share one square shape; a (k, n, n) array is k of them.  A
-    failing matrix raises the InvalidMatrix that PairwiseMatrix raises for
-    it, with its position in ``arrays`` as ``index``.  Each matrix returned is a read-only view of
-    one checked copy of the stack, held in immutable bytes.
+    The arrays share one square shape; a (k, n, n) array is k of them.  They
+    are converted once, and the one copy goes to immutable bytes before the
+    checks.  A failing matrix raises its InvalidMatrix, with its position in
+    ``arrays`` as ``index``.  Each matrix returned is a read-only view of
+    the checked copy.
     """
     try:
         stack = np.asarray(arrays, dtype=float)
-    except (TypeError, ValueError):  # ragged, or a cell that is not a number
+    except (TypeError, ValueError, OverflowError):  # ragged, or a cell that is not a number
         stack = None
     if stack is None or stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
-        shapes = sorted({np.asarray(a, dtype=float).shape for a in arrays})
+        try:
+            shapes = sorted({np.asarray(a, dtype=float).shape for a in arrays})
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidMatrix("expected square matrices of numbers, got a ragged "
+                                "row or a cell that is not a number") from None
         raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
-    # the one copy goes to immutable bytes, as in PairwiseMatrix
-    stack = np.frombuffer(stack.tobytes(), dtype=float).reshape(stack.shape)
+    stack = frozen_copy(stack)
     _check_stack(stack)
     matrices = []
     for values in stack:
@@ -165,7 +169,9 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     # only the kept reciprocals are computed, so none can overflow unseen
     np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(mean, 1.0)
-    return PairwiseMatrix(mean)
+    # mean[None] is a stack of one without a copy; PairwiseMatrix(mean)
+    # would copy mean into a new stack before the copy into bytes
+    return pairwise_matrices(mean[None])[0]
 
 
 def principal_eigenvalue(m: PairwiseMatrix) -> float:

@@ -242,9 +242,14 @@ def validate_bpa(b: Bpa) -> Bpa:
 
 # --- BPA fixture format (JSON) ----------------------------------------------
 
+#: the exact types that json.loads gives a JSON number; a bool is an int
+#: but not one of them
+JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
+
+
 def json_number(value) -> float:
     """A parsed JSON number (int or float, not bool) as a float, else TypeError."""
-    if type(value) not in (int, float):
+    if type(value) not in JSON_NUMBER_TYPES:
         raise TypeError(f"{value!r} is not a JSON number")
     return float(value)
 

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .ahp import frozen_copy
 from .errors import (
     AllZeroDivergence,
     DegeneratePriors,
@@ -33,7 +34,11 @@ class DecisionMatrix:
     ids: tuple[str, ...]
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
+        try:
+            a = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, or a cell that is not a number
+            raise InvalidMatrix("expected a 2-D matrix of numbers, got a ragged row "
+                                "or a cell that is not a number") from None
         if a.ndim != 2:
             raise InvalidMatrix(f"expected a 2-D matrix, got shape {a.shape}")
         m, n = a.shape
@@ -51,9 +56,7 @@ class DecisionMatrix:
             raise InvalidMatrix(f"{len(ids)} column ids for {n} columns")
         if len(set(ids)) != n:
             raise InvalidMatrix("column ids must be unique")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "values", a)
+        object.__setattr__(self, "values", frozen_copy(a))
         object.__setattr__(self, "ids", ids)
 
 

@@ -37,7 +37,7 @@ from .ahp import (
     consistency,
     pairwise_matrices,
 )
-from .core import Bpa, bpa_from_dict, bpa_to_dict, json_number
+from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, json_number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -206,10 +206,9 @@ def _read_json(path: str | Path, digests: dict | None):
 def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
     """(indicator, value) pairs of a CSV file's nonblank rows after ``header``.
 
-    Every check of ``_csv_rows`` runs once on whole columns, as do the two
-    the loaders add: no row repeats its key (all columns but the number) and
-    the rows cover ``ids``.  None when any check fails or the text is not
-    CSV; the row walk then names the first faulty line.
+    Every rule of ``_csv_pairs`` runs once on whole columns.  None when any
+    rule fails or the text is not CSV; the row walk then names the first
+    faulty line.
     """
     try:
         rows = list(csv.reader(io.StringIO(text), strict=True))
@@ -236,19 +235,22 @@ def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
     return zip(indicators, values)
 
 
-def _csv_rows(path: str | Path, text: str, header: list[str], ids: Sequence[str],
-              what: str, parse):
-    """Yield (line, row, value) for each nonblank row after ``header``.
+def _csv_pairs(path: str | Path, text: str, header: list[str], ids: Sequence[str],
+               what: str, parse):
+    """(indicator, value) for each nonblank row after ``header`` of a CSV file.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
-    column and a number (the row's ``what``) in its last, which ``parse``
-    turns into ``value``; ``line`` is the line on which the row ends.  The
-    number must be ASCII without ``_``, which ``float`` alone does not ask.
-    The loaders walk rows only where ``_csv_columns`` fails, to name the
-    first faulty line.
+    column and in its last a number (the row's ``what``; ASCII without
+    ``_``, which ``float`` alone does not ask) that ``parse`` turns into the
+    value.  No row repeats its key (all columns but the number), and the
+    rows cover ``ids``.  A file that breaks a rule on whole columns is
+    walked row by row, to name the line on which the first faulty row ends.
     """
-    known = set(ids)
-    width = len(header)
+    pairs = _csv_columns(text, header, ids, parse)
+    if pairs is not None:
+        return pairs
+    seen: dict[tuple[str, ...], int] = {}
+    pairs = []
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         first = next(reader, None)
@@ -259,24 +261,33 @@ def _csv_rows(path: str | Path, text: str, header: list[str], ids: Sequence[str]
             if not row:
                 continue
             line = reader.line_num
-            if len(row) != width:
-                raise ParseError(f"{path}:{line}: expected {width} columns, "
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line}: expected {len(header)} columns, "
                                  f"got {len(row)}")
-            if row[-2] not in known:
+            *key, number = row
+            if key[-1] not in ids:
                 raise UnknownIndicator(f"{path}:{line}: unknown indicator "
-                                       f"{row[-2]!r}")
+                                       f"{key[-1]!r}")
             try:
-                if "_" in row[-1] or not row[-1].isascii():
-                    raise ValueError(row[-1])
-                value = parse(row[-1])
+                if "_" in number or not number.isascii():
+                    raise ValueError(number)
+                value = parse(number)
             except ValueError:
-                raise ParseError(f"{path}:{line}: {what} {row[-1]!r} is not "
+                raise ParseError(f"{path}:{line}: {what} {number!r} is not "
                                  f"a number") from None
             except EvicritError as e:
                 raise type(e)(f"{path}:{line}: {e}") from None
-            yield line, row, value
+            seen_at = seen.setdefault(tuple(key), line)
+            if seen_at != line:
+                raise ParseError(f"{path}:{line}: expert {key[0]!r} already scored "
+                                 f"{key[1]} at line {seen_at}" if what == "score"
+                                 else f"{path}:{line}: duplicate prior for {key[0]}")
+            pairs.append((key[-1], value))
     except csv.Error as e:
         raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+    _check_covered(path, ids, {i for i, _ in pairs},
+                   "scores" if what == "score" else "prior")
+    return pairs
 
 
 def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
@@ -293,22 +304,10 @@ def ingest_scores(path: str | Path, ids: Sequence[str], *,
     The file must score every id in ``ids`` at least once, nothing outside
     ``ids``, and each (expert, indicator) pair at most once.
     """
-    header = ["expert_id", "indicator", "score"]
-    text = _read_text(path, digests)
-    pairs = _csv_columns(text, header, ids, check_score)
-    if pairs is None:
-        first_line: dict[tuple[str, str], int] = {}
-        pairs = []
-        for line, (expert_id, indicator_id, _), value in _csv_rows(
-                path, text, header, ids, "score", check_score):
-            seen_at = first_line.setdefault((expert_id, indicator_id), line)
-            if seen_at != line:
-                raise ParseError(f"{path}:{line}: expert {expert_id!r} already "
-                                 f"scored {indicator_id} at line {seen_at}")
-            pairs.append((indicator_id, value))
-        _check_covered(path, ids, {i for i, _ in pairs}, "scores")
     collected: dict[str, list[float]] = {i: [] for i in ids}
-    for indicator_id, value in pairs:
+    for indicator_id, value in _csv_pairs(
+            path, _read_text(path, digests), ["expert_id", "indicator", "score"],
+            ids, "score", check_score):
         collected[indicator_id].append(value)
     return {i: math.fsum(values) / len(values) for i, values in collected.items()}
 
@@ -332,9 +331,7 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
         raise ParseError(f'{path}: "experts" must be a nonempty list')
     n = len(ids)
     k = len(experts)
-    # all experts at once, their cells flattened once; any structural fault
-    # sends the file through the per-expert checks, which find the first
-    # fault and word its error
+    # all experts at once, their cells flattened once
     values = None
     try:
         expert_ids = [entry["id"] for entry in experts]
@@ -343,28 +340,26 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
         if (set(map(len, grid)) == {n} and set(map(len, rows)) == {n}
                 and all(isinstance(i, str) for i in expert_ids)
                 and len(set(expert_ids)) == k
-                and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+                and set(map(type, chain.from_iterable(rows))).issubset(JSON_NUMBER_TYPES)):
             values = np.fromiter(chain.from_iterable(rows), dtype=float,
                                  count=k * n * n).reshape(k, n, n)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    if values is not None:
-        return tuple(ids), _expert_matrices(path, expert_ids, values)
-    arrays: dict[str, np.ndarray] = {}
-    for pos, entry in enumerate(experts):
-        try:
-            expert_id, array = _expert_entry(path, pos, entry, n, arrays)
-        except (ParseError, OrderMismatch):
-            if arrays:  # an earlier expert's value fault comes first
-                _expert_matrices(path, list(arrays), list(arrays.values()))
-            raise
-        arrays[expert_id] = array
-    return tuple(ids), _expert_matrices(path, list(arrays), list(arrays.values()))
+    if values is None:  # an expert breaks a rule of _check_expert: name the first
+        seen: set[str] = set()
+        for pos, entry in enumerate(experts):
+            try:
+                seen.add(_check_expert(path, pos, entry, n, seen))
+            except (ParseError, OrderMismatch):
+                if pos:  # an earlier expert's value fault comes first
+                    _expert_matrices(path, [e["id"] for e in experts[:pos]],
+                                     [e["matrix"] for e in experts[:pos]])
+                raise
+    return tuple(ids), _expert_matrices(path, expert_ids, values)
 
 
-def _expert_entry(path: str | Path, pos: int, entry, n: int,
-                  seen: dict[str, np.ndarray]) -> tuple[str, np.ndarray]:
-    """The structural checks of one expert: (its id, its n x n float array)."""
+def _check_expert(path: str | Path, pos: int, entry, n: int, seen: set[str]) -> str:
+    """The structural checks of one expert; its id."""
     try:
         expert_id = entry["id"]
         rows = entry["matrix"]
@@ -376,19 +371,19 @@ def _expert_entry(path: str | Path, pos: int, entry, n: int,
         raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
                          f"{expert_id!r}")
     try:
-        values = np.array(rows, dtype=float)
+        shape = np.array(rows, dtype=float).shape
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: expert {expert_id!r}: matrix "
                          f"is not rectangular numeric") from None
-    if values.shape != (n, n):
+    if shape != (n, n):
         raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
-                            f"{values.shape} does not match {n} indicators")
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        i, j = next((i, j) for i, row in enumerate(rows)
-                    for j, cell in enumerate(row) if type(cell) not in (int, float))
-        raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
-                         f"({i + 1},{j + 1}) is {rows[i][j]!r}, not a number")
-    return expert_id, values
+                            f"{shape} does not match {n} indicators")
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if type(cell) not in JSON_NUMBER_TYPES:
+                raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
+                                 f"({i + 1},{j + 1}) is {cell!r}, not a number")
+    return expert_id
 
 
 def _expert_matrices(path: str | Path, expert_ids: list[str], values
@@ -416,19 +411,8 @@ def ingest_priors(path: str | Path, ids: Sequence[str], *,
     The file must give exactly one nonnegative finite prior for each id in
     ``ids`` and none for any other id.
     """
-    header = ["indicator", "lambda"]
-    text = _read_text(path, digests)
-    pairs = _csv_columns(text, header, ids, _check_prior)
-    if pairs is None:
-        priors: dict[str, float] = {}
-        for line, (indicator_id, _), value in _csv_rows(
-                path, text, header, ids, "prior", _check_prior):
-            if indicator_id in priors:
-                raise ParseError(f"{path}:{line}: duplicate prior for {indicator_id}")
-            priors[indicator_id] = value
-        _check_covered(path, ids, priors, "prior")
-    else:
-        priors = dict(pairs)
+    priors = dict(_csv_pairs(path, _read_text(path, digests), ["indicator", "lambda"],
+                             ids, "prior", _check_prior))
     return {i: priors[i] for i in ids}
 
 

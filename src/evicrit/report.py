@@ -19,7 +19,7 @@ import secrets
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import FRAME, FULL_SET, Bpa, Subset, indicator
+from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset, indicator
 from .errors import IoError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,7 +125,7 @@ def _json_key(k) -> str:
     """A non-str dict key as json.dumps coerces it."""
     if isinstance(k, str):
         return _escape(k)
-    if k is None or isinstance(k, (int, float)):  # bool is an int
+    if k is None or isinstance(k, JSON_NUMBER_TYPES):  # bool is an int
         return '"' + _json_value(k, "") + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 

@@ -16,6 +16,7 @@ from evicrit.ahp import (
     pairwise_matrices,
     principal_eigenvalue,
 )
+from evicrit.entropy import DecisionMatrix
 from evicrit.selftest import charpoly_lambda_max, consistent_matrix, random_reciprocal
 
 
@@ -167,6 +168,28 @@ def test_matrix_is_read_only():
             with pytest.raises(ValueError):
                 a.setflags(write=True)
             a = a.base
+
+
+NOT_NUMBERS = "got a ragged row or a cell that is not a number"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: pairwise_matrices([[["x", 1.0], [1.0, 1.0]]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices([[[1.0, 2.0], [0.5]]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices([[[{"a": 1}, 1.0], [1.0, 1.0]]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix([["x", 1.0], [1.0, 1.0]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix([["x", 1.0], [1.0, 1.0]], ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+], ids=["stack-string-cell", "stack-ragged-row", "stack-object-cell",
+        "matrix-string-cell", "decision-string-cell"])
+def test_cells_that_are_not_numbers_are_invalid_matrices(build, message):
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_aggregate_geometric_mean_of_two():

@@ -19,6 +19,7 @@ from evicrit.core import (
     bpa_from_dict,
     unit_normalized,
     vacuous,
+    validate_bpa,
 )
 from evicrit.evidence import (
     average_bpas,
@@ -104,6 +105,14 @@ def from_bpa_from_dict(tmp_path):
     return b, mutate
 
 
+def from_validate_bpa(tmp_path):
+    # off by 5e-10, within MASS_SUM_TOL: renormalised into a new Bpa
+    drifted = Bpa({H: 0.25, FULL_SET: 0.75 + 5e-10})
+    b = validate_bpa(drifted)
+    assert b is not drifted and b.total() == 1.0
+    return b, _no_change
+
+
 def from_load_bpa_fixtures(tmp_path):
     path = tmp_path / "fixtures.json"
     cell = {"frame": ["H"], "masses": [{"subset": ["H"], "mass": 1.0}]}
@@ -151,8 +160,8 @@ def from_brute_force_combine(tmp_path):
 
 
 PRODUCERS = [from_array, from_slice, from_list, from_mapping, from_unit_normalized,
-             from_vacuous, from_bpa_from_dict, from_load_bpa_fixtures, from_to_bpa,
-             from_average_bpas, from_dempster_combine, from_murphy_combine,
+             from_vacuous, from_validate_bpa, from_bpa_from_dict, from_load_bpa_fixtures,
+             from_to_bpa, from_average_bpas, from_dempster_combine, from_murphy_combine,
              from_brute_force_combine]
 
 

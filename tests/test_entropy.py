@@ -52,6 +52,18 @@ def test_decision_matrix_is_read_only():
         d.values[0, 0] = 9.0
 
 
+def test_no_array_under_a_decision_matrix_can_be_made_writeable():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    d = dm(source)
+    source[0, 0] = 9.0
+    assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    a = d.values
+    while isinstance(a, np.ndarray):
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+        a = a.base
+
+
 def test_column_normalize_simple():
     p = column_normalize(dm([[2.0, 1.0], [6.0, 1.0]]))
     assert p[0, 0] == 0.25

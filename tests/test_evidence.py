@@ -124,6 +124,16 @@ def test_average_bpas():
         average_bpas([])
 
 
+@pytest.mark.parametrize("combine, message", [
+    (average_bpas, "need at least one mass function to average"),
+    (murphy_combine, "need at least one mass function to combine"),
+])
+def test_no_mass_function_is_empty_input(combine, message):
+    with pytest.raises(errors.EmptyInput) as exc:
+        combine([])
+    assert str(exc.value) == message
+
+
 def test_murphy_single_input_passthrough():
     m = bpa(H=0.6, theta=0.4)
     result = murphy_combine([m])

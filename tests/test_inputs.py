@@ -160,6 +160,20 @@ def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
     assert str(exc.value) == f"{p}: {message}"
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({**matrices_doc(), "indicators": ["A", "B", "A"]}, "duplicate indicator ids"),
+    ({"indicators": list(IDS), "experts": [matrices_doc()["experts"][0], {"id": "e2"}]},
+     'experts[1] needs "id" and "matrix"'),
+    ({"indicators": list(IDS), "experts": [["e1", [[1.0, 2.0], [0.5, 1.0]]]]},
+     'experts[0] needs "id" and "matrix"'),
+], ids=["duplicate-indicator", "no-matrix", "expert-list"])
+def test_matrices_file_structure_faults_are_worded(tmp_path, doc, message):
+    p = write(tmp_path / "m.json", json.dumps(doc))
+    with pytest.raises(errors.ParseError) as exc:
+        ingest_matrices(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
 GOOD = [[1.0, 2.0], [0.5, 1.0]]
 
 

@@ -397,6 +397,21 @@ def test_run_pipeline_rejects_wrongly_typed_config(tmp_path, field, value):
         run_pipeline(config)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("overlap_mode", "sometimes",
+     "overlap_mode must be one of ('adjacent', 'theta'), got 'sometimes'"),
+    ("ci_denominator", "saaty",
+     "ci_denominator must be one of ('paper', 'standard'), got 'saaty'"),
+    ("fmt", "yaml", "format must be one of ('text', 'csv', 'json'), got 'yaml'")])
+def test_run_pipeline_names_the_allowed_modes(tmp_path, field, value, message):
+    config = PipelineConfig(**{"scores": tmp_path / "no-scores.csv",
+                               "matrices": tmp_path / "no-matrices.json",
+                               field: value})
+    with pytest.raises(errors.ConfigError) as exc:
+        run_pipeline(config)
+    assert str(exc.value) == message
+
+
 def test_run_pipeline_weight_ties_follow_matrices_order(tmp_path):
     # columns B10 and B2 of the aggregate are equal, so their weights tie
     # bit for bit; the tie keeps the order of "indicators", not B2 before B10
