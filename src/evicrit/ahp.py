@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import JSON_NUMBER_TYPES
 from .errors import (
     EmptyInput,
     InvalidMatrix,
@@ -91,25 +92,51 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
+#: the scalar cells the matrix constructors take: a file's numbers and
+#: numpy's, by isinstance, but never a bool
+_NUMBER_CELLS = (*JSON_NUMBER_TYPES, np.integer, np.floating)
+NOT_NUMBERS = "got a ragged row or a cell that is not a number"
+
+
+def number_cells(values) -> bool:
+    """Whether every cell of ``values`` is a number: the one number rule of
+    the matrix constructors.
+
+    An ndarray is judged by its dtype alone: float and integer arrays pass;
+    str, bytes, bool and object arrays do not.  A list or tuple passes when
+    each of its items does.  Any other cell must be an int or float, numpy's
+    scalars included, and not a bool: the loaders' JSON-number rule, widened
+    to the scalars a list built from numpy results holds.
+    """
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "fiu"
+    if isinstance(values, (list, tuple)):
+        return all(map(number_cells, values))
+    return isinstance(values, _NUMBER_CELLS) and not isinstance(values, bool)
+
+
 def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     """One PairwiseMatrix per array, checked together as one stack.
 
     The arrays share one square shape; a (k, n, n) array is k of them.  They
     are converted once, and the one copy goes to immutable bytes before the
-    checks.  A failing matrix raises its InvalidMatrix, with its position in
-    ``arrays`` as ``index``.  Each matrix returned is a read-only view of
-    the checked copy.
+    checks.  A cell that ``number_cells`` does not take, or a ragged row,
+    raises InvalidMatrix.  A failing matrix raises its InvalidMatrix, with
+    its position in ``arrays`` as ``index``.  Each matrix returned is a
+    read-only view of the checked copy.
     """
+    if not number_cells(arrays):
+        raise InvalidMatrix(f"expected square matrices of numbers, {NOT_NUMBERS}")
     try:
         stack = np.asarray(arrays, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or a cell that is not a number
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
         stack = None
     if stack is None or stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
         try:
             shapes = sorted({np.asarray(a, dtype=float).shape for a in arrays})
         except (TypeError, ValueError, OverflowError):
-            raise InvalidMatrix("expected square matrices of numbers, got a ragged "
-                                "row or a cell that is not a number") from None
+            raise InvalidMatrix(
+                f"expected square matrices of numbers, {NOT_NUMBERS}") from None
         raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
     stack = frozen_copy(stack)
     _check_stack(stack)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ahp import frozen_copy
+from .ahp import NOT_NUMBERS, frozen_copy, number_cells
 from .errors import (
     AllZeroDivergence,
     DegeneratePriors,
@@ -35,10 +35,11 @@ class DecisionMatrix:
 
     def __post_init__(self):
         try:
-            a = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # ragged, or a cell that is not a number
-            raise InvalidMatrix("expected a 2-D matrix of numbers, got a ragged row "
-                                "or a cell that is not a number") from None
+            a = np.asarray(self.values, dtype=float) if number_cells(self.values) else None
+        except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
+            a = None
+        if a is None:
+            raise InvalidMatrix(f"expected a 2-D matrix of numbers, {NOT_NUMBERS}")
         if a.ndim != 2:
             raise InvalidMatrix(f"expected a 2-D matrix, got shape {a.shape}")
         m, n = a.shape

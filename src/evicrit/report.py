@@ -1,10 +1,17 @@
 """Report and chart emission.
 
 Renders the manifest's tables as text, CSV, or JSON files plus an optional
-grouped-bar SVG.  Each write goes to a uniquely named temporary sibling
-first and is renamed into place, so a failed run never leaves a partial
-file and two runs into one directory never share a temporary file.  Identical
-manifests produce byte-identical outputs.
+grouped-bar SVG.  Identical manifests produce byte-identical outputs.  Every
+output file, the CLI's ``--out`` files included, goes through one write:
+
+* a regular file that already holds exactly the bytes to be written is left
+  in place, with its inode, mtime and mode;
+* anything else at the path, a symlink included, is replaced atomically.
+  The bytes go to a uniquely named temporary sibling first, which is renamed
+  over the path, so a failed run never leaves a partial file and two runs
+  into one directory never share a temporary file.
+
+``manifest.json`` holds the run's ``timings``, so it is rewritten on every run.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import math
 import os
 import secrets
+import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -38,19 +46,43 @@ _CHART_COLORS = ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")
 
 def _atomic_write(path: str | Path, data: str) -> Path:
     path = Path(path)
+    encoded = data.encode("utf-8")
+    if _holds(path, encoded):
+        return path
     # a random name created exclusively, so concurrent writers never share
     # it; unlike mkstemp's 0600 file it gets the mode the umask gives
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.write(data)
+        with open(tmp, "xb") as f:
+            f.write(encoded)
         os.replace(tmp, path)
     except OSError as e:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise IoError(f"cannot write {path}: {e}") from e
     return path
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether ``path`` is a regular file that holds exactly ``data``.
+
+    A symlink is not followed and a FIFO does not block the open; anything
+    but a regular file of ``len(data)`` bytes is not read at all.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return False
+    try:
+        st = os.fstat(fd)
+        # one byte more than data, so a file that grew since fstat differs
+        return (stat.S_ISREG(st.st_mode) and st.st_size == len(data)
+                and os.read(fd, len(data) + 1) == data)
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
 
 
 def json_text(doc) -> str:

@@ -13,6 +13,7 @@ from evicrit.ahp import (
     PairwiseMatrix,
     aggregate_geometric,
     consistency,
+    number_cells,
     pairwise_matrices,
     principal_eigenvalue,
 )
@@ -190,6 +191,49 @@ def test_cells_that_are_not_numbers_are_invalid_matrices(build, message):
     with pytest.raises(errors.InvalidMatrix) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PairwiseMatrix([["1", "2"], ["0.5", True]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix([[1.0, 2.0], [0.5, True]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices([[[1.0, b"2"], [0.5, 1.0]]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix(np.array([["1", "2"], ["0.5", "1"]])),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix(np.ones((2, 2), dtype=bool)),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices(np.array([[[1.0, 2.0], [0.5, 1.0]]], dtype=object)),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix([["1", " 2 "], [True, "4"]], ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix([[1.0, 2.0], [True, 4.0]], ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix(np.array([[b"1", b"2"], [b"3", b"4"]]), ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix(np.ones((2, 2), dtype=bool), ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix(np.ones((2, 2), dtype=object), ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+], ids=["matrix-numeric-strings", "matrix-bool-cell", "stack-bytes-cell",
+        "matrix-str-array", "matrix-bool-array", "stack-object-array",
+        "decision-numeric-strings", "decision-bool-cell", "decision-bytes-array",
+        "decision-bool-array", "decision-object-array"])
+def test_matrix_constructors_take_numbers_only(build, message):
+    # the loaders' rule: a numeric string or a bool is not a number
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_matrix_constructors_take_number_arrays_and_scalars():
+    ints = DecisionMatrix(np.array([[1, 2], [3, 4]], dtype=np.int32), ["a", "b"])
+    assert ints.values.dtype == float and ints.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    m = PairwiseMatrix([[np.float64(1.0), np.int64(2)], [0.5, 1]])
+    assert m.values.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+    assert number_cells(np.empty((3, 3), dtype=np.float32))
+    assert not number_cells([np.ones((2, 2)), np.ones((2, 2), dtype=np.bool_)])
 
 
 def test_aggregate_geometric_mean_of_two():

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -599,6 +601,106 @@ def test_failed_report_write_leaves_no_manifest(inputs, tmp_path, capsys):
     assert cli.run(["evaluate", *cli_inputs(inputs), "--out-dir", str(out)]) == 3
     assert "report.txt" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def file_ids(out, skip=("manifest.json",)):
+    """Inode, mtime and mode of every file in ``out`` but ``skip``."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_mode)
+            for p in sorted(out.iterdir()) if p.name not in skip}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_identical_rerun_leaves_every_output_in_place(inputs, tmp_path, capsys, fmt):
+    out = tmp_path / "out"
+    argv = ["evaluate", *cli_inputs(inputs), "--alpha", "0.8", "--format", fmt,
+            "--out-dir", str(out), "--chart", str(out / "weights.svg")]
+    assert cli.run(argv) == 0
+    first = file_ids(out)
+    assert "weights.svg" in first and len(first) == (2 if fmt == "text" else 5)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert file_ids(out) == first
+    # the manifest is the last write of the run, also when nothing else changed
+    assert max(p.stat().st_mtime_ns for p in out.iterdir()) == \
+        (out / "manifest.json").stat().st_mtime_ns
+
+
+def test_changed_rerun_replaces_only_what_changed(inputs, tmp_path, capsys):
+    def evaluate(out, alpha):
+        assert cli.run(["evaluate", *cli_inputs(inputs), "--alpha", alpha,
+                        "--format", "csv", "--out-dir", str(out),
+                        "--chart", str(out / "weights.svg")]) == 0
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    evaluate(out, "0.8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    first = file_ids(out)
+    evaluate(out, "0.7")
+    evaluate(fresh, "0.7")
+    capsys.readouterr()
+    now = file_ids(out)
+    changed = set()
+    for name in first:
+        data = (out / name).read_bytes()
+        assert data == (fresh / name).read_bytes()
+        if data != before[name]:
+            changed.add(name)
+            assert now[name][0] != first[name][0]
+        else:
+            assert now[name] == first[name]
+    assert changed == {"fusion.csv", "ranking.csv"}
+
+
+@pytest.mark.parametrize("old", [b"ABCDEFG\r", b"abcdefg\n", b"abcdefg\rmore"],
+                         ids=["same-length", "last-byte-differs", "longer-same-prefix"])
+def test_write_replaces_a_file_with_other_bytes(tmp_path, old):
+    path = tmp_path / "out.txt"
+    path.write_bytes(old)
+    ino = path.stat().st_ino
+    _atomic_write(path, "abcdefg\r")
+    assert path.read_bytes() == b"abcdefg\r"
+    assert path.stat().st_ino != ino
+
+
+def test_write_replaces_a_symlink_to_the_same_bytes(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"data\n")
+    target_ids = file_ids(tmp_path)["target.txt"]
+    link = tmp_path / "out.txt"
+    link.symlink_to(target)
+    _atomic_write(link, "data\n")
+    assert not link.is_symlink() and link.read_bytes() == b"data\n"
+    assert file_ids(tmp_path)["target.txt"] == target_ids
+
+
+@pytest.mark.parametrize("text", ["data\n", ""])
+def test_write_neither_blocks_on_nor_keeps_a_fifo(tmp_path, text):
+    # an empty FIFO reads as the empty text, and is replaced all the same
+    path = tmp_path / "out.txt"
+    os.mkfifo(path)
+    writer = threading.Thread(target=_atomic_write, args=(path, text), daemon=True)
+    writer.start()
+    writer.join(timeout=30)
+    assert not writer.is_alive(), "the write blocked on the FIFO"
+    assert stat.S_ISREG(path.lstat().st_mode) and path.read_text() == text
+
+
+def test_cli_out_files_are_kept_on_identical_reruns(inputs, tmp_path, capsys):
+    bpas = {"bpas": list(json.loads(write_dense_fixtures(tmp_path / "f.json")
+                                    .read_text()).values())}
+    bpa_path = write(tmp_path / "bpas.json", json.dumps(bpas))
+    out = tmp_path / "out"
+    commands = (["weights", "--matrices", str(inputs["matrices.json"]),
+                 "--priors", str(inputs["priors.csv"]), "--out", str(out / "w.csv")],
+                ["fuse", "--bpas", str(bpa_path), "--out", str(out / "fused.json")])
+    for argv in commands:
+        assert cli.run(argv) == 0
+    first = file_ids(out)
+    assert sorted(first) == ["fused.json", "w.csv"]
+    for argv in commands:
+        assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert file_ids(out) == first
 
 
 def test_chart_bytes_are_deterministic(inputs, tmp_path):
