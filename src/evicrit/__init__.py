@@ -17,17 +17,14 @@ from .ahp import (
     principal_eigenvalue,
 )
 from .core import (
-    CATALOG,
     EMPTY_SET,
     FRAME,
     FULL_SET,
     Bpa,
-    Indicator,
     Label,
     Subset,
     bpa_from_dict,
     bpa_to_dict,
-    indicator,
     parse_label,
     subsets_of,
     unit_normalized,
@@ -48,7 +45,6 @@ from .evidence import (
     CombinationResult,
     RankingReport,
     average_bpas,
-    brute_force_combine,
     conflict,
     dempster_combine,
     murphy_combine,
@@ -79,9 +75,9 @@ from . import datasets, errors
 __all__ = [
     "__version__",
     # core
-    "Label", "FRAME", "Subset", "EMPTY_SET", "FULL_SET", "Bpa", "Indicator",
-    "CATALOG", "indicator", "parse_label", "subsets_of", "vacuous",
-    "unit_normalized", "validate_bpa", "bpa_to_dict", "bpa_from_dict",
+    "Label", "FRAME", "Subset", "EMPTY_SET", "FULL_SET", "Bpa", "parse_label",
+    "subsets_of", "vacuous", "unit_normalized", "validate_bpa", "bpa_to_dict",
+    "bpa_from_dict",
     # ahp
     "PairwiseMatrix", "ConsistencyReport", "DEFAULT_RI", "aggregate_geometric",
     "principal_eigenvalue", "consistency",
@@ -93,8 +89,7 @@ __all__ = [
     "OVERLAP_MODES", "membership", "rating_label", "to_bpa",
     # evidence
     "CombinationResult", "RankingReport", "conflict", "dempster_combine",
-    "brute_force_combine", "average_bpas", "murphy_combine", "pignistic",
-    "rank",
+    "average_bpas", "murphy_combine", "pignistic", "rank",
     # pipeline
     "PipelineConfig", "RunManifest", "run_pipeline", "windows",
     "ingest_scores", "ingest_matrices", "ingest_priors",

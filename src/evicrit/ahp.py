@@ -45,8 +45,11 @@ class PairwiseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        # one matrix is a stack of one
-        object.__setattr__(self, "values", pairwise_matrices([self.values])[0].values)
+        # one matrix is a stack of one: an ndarray's [None] needs no copy;
+        # other input stays a list, so number_cells still judges each cell
+        values = self.values
+        stack = values[None] if isinstance(values, np.ndarray) else [values]
+        object.__setattr__(self, "values", pairwise_matrices(stack)[0].values)
 
     @property
     def order(self) -> int:
@@ -196,9 +199,7 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     # only the kept reciprocals are computed, so none can overflow unseen
     np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(mean, 1.0)
-    # mean[None] is a stack of one without a copy; PairwiseMatrix(mean)
-    # would copy mean into a new stack before the copy into bytes
-    return pairwise_matrices(mean[None])[0]
+    return PairwiseMatrix(mean)
 
 
 def principal_eigenvalue(m: PairwiseMatrix) -> float:

@@ -1,5 +1,4 @@
-"""Core domain model: linguistic grades, grade subsets, mass functions, and
-the fourteen-indicator catalog whose descriptions the text report shows.
+"""Core domain model: linguistic grades, grade subsets and mass functions.
 
 All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
@@ -110,9 +109,6 @@ class Subset:
 
     def __and__(self, other: "Subset") -> "Subset":
         return Subset(self.bits & other.bits)
-
-    def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self.bits | other.bits)
 
     def __str__(self) -> str:
         return "{" + ",".join(self.names()) + "}"
@@ -294,39 +290,3 @@ def bpa_from_dict(data: Mapping) -> Bpa:
             raise FrameMismatch(f"focal set {SUBSETS[bits]} outside frame {frame}")
     return validate_bpa(Bpa(vector))
 
-
-# --- indicator catalog -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Indicator:
-    """One evaluation criterion: a stable id (B1..B14) and what it measures."""
-
-    id: str
-    description: str
-
-
-#: the fourteen DNA-sequence-analysis tool indicators, in id order
-CATALOG: tuple[Indicator, ...] = (
-    Indicator("B1", "Align Sequences"),
-    Indicator("B2", "Feature selection"),
-    Indicator("B3", "Find Genes"),
-    Indicator("B4", "Find t RNA"),
-    Indicator("B5", "Find Transcriptional elements"),
-    Indicator("B6", "Online primer design sites"),
-    Indicator("B7", "ORF identification"),
-    Indicator("B8", "Pattern/Motif recognition"),
-    Indicator("B9", "PCR oligonucleotide resources"),
-    Indicator("B10", "PCR primer selection"),
-    Indicator("B11", "PCR primers software"),
-    Indicator("B12", "Restriction, Detect repeats & unusual Patterns"),
-    Indicator("B13", "Transmembrane domain Identification"),
-    Indicator("B14", "Other Tools"),
-)
-
-CATALOG_IDS: tuple[str, ...] = tuple(i.id for i in CATALOG)
-_BY_ID = {i.id: i for i in CATALOG}
-
-
-def indicator(indicator_id: str) -> Indicator:
-    """Look up a catalog indicator by id; KeyError when unknown."""
-    return _BY_ID[indicator_id]

@@ -1,14 +1,17 @@
 """Bundled data: published reference tables and a ready-to-run example input set.
 
 The reference files freeze externally published values (weighting table,
-indicator ratings, window-fusion table) for regression tests.  The example
-files are synthetic inputs calibrated so the full pipeline reproduces the
-reference weighting profile and ranking verdicts.
+indicator ratings, window-fusion table) for regression tests.  The ratings
+file is also the package's one indicator catalog: the ids B1..B14 and the
+descriptions that the text report shows.  The example files are synthetic
+inputs calibrated so the full pipeline reproduces the reference weighting
+profile and ranking verdicts.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -52,8 +55,10 @@ class ReferenceRating:
     rating: Label
 
 
+@functools.cache
 def reference_ratings() -> tuple[ReferenceRating, ...]:
-    """The published single-grade rating of each of the fourteen indicators."""
+    """The published single-grade rating of each of the fourteen indicators,
+    in id order; the file is read once per process."""
     reader = csv.reader(io.StringIO(_read("reference_ratings.csv")))
     header = next(reader)
     if header != ["indicator", "description", "rating"]:

@@ -73,9 +73,6 @@ class MembershipVector:
         """(grade, membership) pairs with positive membership, low grade first."""
         return tuple((l, self.values[int(l)]) for l in FRAME if self.values[int(l)] > 0.0)
 
-    def as_dict(self) -> dict[str, float]:
-        return {l.name: self.values[int(l)] for l in FRAME}
-
 
 def membership(x: float) -> MembershipVector:
     """Evaluate all five grade memberships at a score in [0, 10]."""

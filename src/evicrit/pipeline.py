@@ -325,6 +325,12 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
     if (not isinstance(ids, list) or not ids
             or not all(isinstance(i, str) for i in ids)):
         raise ParseError(f'{path}: "indicators" must be a nonempty list of ids')
+    for indicator_id in ids:  # a lone surrogate from a JSON escape has no UTF-8
+        try:
+            indicator_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{path}: indicator id {indicator_id!r} is not "
+                             f"encodable as UTF-8") from None
     if len(set(ids)) != len(ids):
         raise ParseError(f'{path}: duplicate indicator ids')
     if not isinstance(experts, list) or not experts:
@@ -345,16 +351,11 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
                                  count=k * n * n).reshape(k, n, n)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    if values is None:  # an expert breaks a rule of _check_expert: name the first
+    if values is None:  # an expert breaks a rule: the first fault in expert order
         seen: set[str] = set()
         for pos, entry in enumerate(experts):
-            try:
-                seen.add(_check_expert(path, pos, entry, n, seen))
-            except (ParseError, OrderMismatch):
-                if pos:  # an earlier expert's value fault comes first
-                    _expert_matrices(path, [e["id"] for e in experts[:pos]],
-                                     [e["matrix"] for e in experts[:pos]])
-                raise
+            seen.add(_check_expert(path, pos, entry, n, seen))
+            _expert_matrices(path, [entry["id"]], [entry["matrix"]])
     return tuple(ids), _expert_matrices(path, expert_ids, values)
 
 

@@ -27,7 +27,8 @@ import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset, indicator
+from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset
+from .datasets import reference_ratings
 from .errors import IoError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,11 +213,9 @@ def _render_text(manifest: "RunManifest") -> str:
 
     out.write("Ratings\n")
     out.write(f"  {'indicator':<10}{'score':>7}  {'label':<6}description\n")
+    descriptions = {r.indicator: r.description for r in reference_ratings()}
     for indicator_id, score, label in manifest.ratings:
-        try:
-            description = indicator(indicator_id).description
-        except KeyError:
-            description = ""
+        description = descriptions.get(indicator_id, "")
         out.write(f"  {indicator_id:<10}{score:>7.2f}  {label:<6}{description}\n")
     out.write("\n")
 

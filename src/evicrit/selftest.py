@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .ahp import PairwiseMatrix, aggregate_geometric, consistency, principal_eigenvalue
-from .core import CATALOG_IDS, SLOTS, SUBSETS, Bpa, Subset, unit_normalized, vacuous
-from .datasets import reference_fusion, reference_weights
+from .core import SLOTS, SUBSETS, Bpa, Subset, unit_normalized, vacuous
+from .datasets import reference_fusion, reference_ratings, reference_weights
 from .entropy import (
     DecisionMatrix,
     adjust_weights,
@@ -160,7 +160,7 @@ def criterion_3() -> tuple[bool, str]:
 
 def criterion_4() -> tuple[bool, str]:
     """Window 4 / stride 2 over the catalog gives the six published groups."""
-    computed = windows(CATALOG_IDS, 4, 2)
+    computed = windows(tuple(r.indicator for r in reference_ratings()), 4, 2)
     published = tuple(ids for ids, _ in reference_fusion().windows)
     ok = computed == published and len(computed) == 6
     return ok, f"{len(computed)} windows: {['-'.join(w) for w in computed]}"

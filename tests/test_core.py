@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from evicrit import errors
 from evicrit.core import (
-    CATALOG,
-    CATALOG_IDS,
     EMPTY_SET,
     FRAME,
     FULL_SET,
@@ -20,7 +18,6 @@ from evicrit.core import (
     Subset,
     bpa_from_dict,
     bpa_to_dict,
-    indicator,
     parse_label,
     subsets_of,
     unit_normalized,
@@ -63,7 +60,6 @@ def test_subset_algebra():
     a = Subset.of(Label.L, Label.M)
     b = Subset.of(Label.M, Label.H)
     assert a & b == Subset.of(Label.M)
-    assert a | b == Subset.of(Label.L, Label.M, Label.H)
     assert (a & Subset.of(Label.VH)).is_empty()
     assert a.issubset(FULL_SET)
     assert not FULL_SET.issubset(a)
@@ -206,11 +202,3 @@ def test_bpa_from_dict_rejects_unknown_label():
                            "masses": [{"subset": ["H", name], "mass": 1.0}]})
         assert str(exc.value) == (f"unknown grade name {name!r}; "
                                   "expected one of VL, L, M, H, VH")
-
-
-def test_catalog_shape():
-    assert len(CATALOG) == 14
-    assert CATALOG_IDS == tuple(f"B{i}" for i in range(1, 15))
-    assert indicator("B8").description == "Pattern/Motif recognition"
-    with pytest.raises(KeyError):
-        indicator("B99")

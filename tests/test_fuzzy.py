@@ -89,7 +89,7 @@ def test_midpoints_split_evenly():
     assert v[Label.VL] == 0.5
     assert v[Label.L] == 0.5
     v = membership(6.25)
-    assert v.as_dict() == {"VL": 0.0, "L": 0.0, "M": 0.5, "H": 0.5, "VH": 0.0}
+    assert v.values == (0.0, 0.0, 0.5, 0.5, 0.0)
 
 
 def test_known_interior_point():

@@ -137,6 +137,22 @@ def test_expert_id_must_be_a_json_string(tmp_path, bad_id):
     assert str(exc.value) == f'{p}: experts[1]: "id" must be a string'
 
 
+@pytest.mark.parametrize("command", [
+    "weights", "weights --out {d}/w.csv",
+    "evaluate --format text --scores {d}/s.csv --priors {d}/p.csv --out-dir {d}/out",
+], ids=["weights-stdout", "weights-out", "evaluate-text"])
+def test_indicator_id_without_utf8_exits_1(tmp_path, capsys, command):
+    # "\udc80" is a legal JSON escape but a lone surrogate, which no output
+    # file can hold in UTF-8; the stdout run used to exit 0
+    p = write(tmp_path / "m.json", json.dumps({**matrices_doc(), "indicators": ["a\udc80", "b"]}))
+    write(tmp_path / "s.csv", "expert_id,indicator,score\ne1,b,5\n")
+    write(tmp_path / "p.csv", "indicator,prior\nb,0.5\n")
+    assert cli.run([*command.format(d=tmp_path).split(), "--matrices", str(p)]) == 1
+    message = f"{p}: indicator id 'a\\udc80' is not encodable as UTF-8"
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("matrices,error,message", [
     ([[[1.0, 2.0], [1.0, 1.0]], [[1.0, "2"], [0.5, 1.0]]], errors.InvalidMatrix,
      "expert 'e0': reciprocity violated at (1,2)/(2,1): 2.0 * 1.0 != 1"),
@@ -149,8 +165,8 @@ def test_expert_id_must_be_a_json_string(tmp_path, bad_id):
 ], ids=["nonreciprocal-then-string", "true-then-nonreciprocal", "zero-then-shape",
         "zero-then-nonreciprocal"])
 def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
-    # the matrices are checked after every expert's structural checks, but a
-    # value fault of an expert before a structurally broken one comes first
+    # the experts are walked in order, each one's structural checks before
+    # its values, so the first faulty expert is named whatever its fault
     doc = {"indicators": list(IDS),
            "experts": [{"id": f"e{k}", "matrix": m} for k, m in enumerate(matrices)]}
     p = write(tmp_path / "m.json", json.dumps(doc))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from evicrit import cli, errors
-from evicrit.core import CATALOG_IDS, FRAME, Subset
+from evicrit.core import FRAME, Subset
 from evicrit.datasets import (
     example_input_text,
     export_example_inputs,
@@ -34,6 +34,10 @@ from evicrit.pipeline import (
     windows,
 )
 from evicrit.selftest import consistent_matrix, random_reciprocal
+
+
+#: the ids of the bundled example, in its matrices file's order
+CATALOG_IDS = tuple(f"B{i}" for i in range(1, 15))
 
 
 @pytest.fixture()
@@ -499,6 +503,41 @@ def test_example_fusion_is_pinned(inputs):
     manifest = run_example(inputs, alpha=0.8)
     assert fusion_digest(manifest) == (
         "6cef3377a3a70f04849c9371fa8fafe2c87dfb113b33276512167d2467e9f523")
+
+
+def test_example_report_and_chart_are_pinned(inputs, tmp_path):
+    # the text report, its description column included, and the chart
+    out = tmp_path / "out"
+    run_example(inputs, alpha=0.8, out_dir=out, fmt="text", chart=out / "weights.svg")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("report.txt", "weights.svg")}
+    assert digests == {
+        "report.txt": "187b667e07a5146ff5cc7b876a063ed398f879f7ec89577fef9b6e156581067a",
+        "weights.svg": "651f385dc6eae2fd09afcfbece207e1ecc0bbe17bde0c2df3d7329c6e414410a"}
+
+
+def ratings_rows(report_text):
+    """(id, description) of each row of a text report's Ratings table."""
+    block = report_text.split("Ratings\n", 1)[1].split("\n\n", 1)[0]
+    return [(line[2:12].rstrip(), line[27:]) for line in block.splitlines()[1:]]
+
+
+def test_report_descriptions_come_from_the_catalog(inputs, tmp_path):
+    out = tmp_path / "out"
+    run_example(inputs, out_dir=out, fmt="text")
+    catalog = [(r.indicator, r.description) for r in reference_ratings()]
+    assert ratings_rows((out / "report.txt").read_text()) == catalog
+    assert reference_ratings() is reference_ratings()  # read once per process
+
+
+def test_report_descriptions_are_blank_outside_the_catalog(tmp_path):
+    matrices = write(tmp_path / "m.json", json.dumps(
+        {"indicators": ["a", "b"], "experts": [{"id": "e1", "matrix": [[1, 2], [0.5, 1]]}]}))
+    scores = write(tmp_path / "s.csv", "expert_id,indicator,score\ne1,a,3\ne1,b,7\n")
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(scores=scores, matrices=matrices, window=2, stride=1,
+                                out_dir=out, fmt="text"))
+    assert ratings_rows((out / "report.txt").read_text()) == [("a", ""), ("b", "")]
 
 
 def write_dense_fixtures(path):
