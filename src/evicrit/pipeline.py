@@ -2,7 +2,7 @@
 the run manifest.
 
 The pipeline is deterministic end to end: identical input bytes and
-configuration produce an identical manifest except for the timing fields.
+configuration produce byte-identical manifest files.
 Every error raised out of a stage carries the stage name on its ``stage``
 attribute.
 """
@@ -493,7 +493,8 @@ def fused_masses(b: Bpa) -> dict:
 
 @dataclass
 class RunManifest:
-    """Everything one pipeline run computed, traceable to input digests."""
+    """Everything one pipeline run computed, traceable to input digests; the
+    stage ``timings`` live in memory only, because ``to_dict`` omits them."""
 
     version: str
     inputs: dict[str, dict]
@@ -526,7 +527,6 @@ class RunManifest:
             },
             "rankings": {key: report.to_dict()
                          for key, report in self.rankings.items()},
-            "timings": self.timings,
         }
 
 
@@ -634,7 +634,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         version=__version__,
         inputs=inputs,
         config={
-            "alpha": config.alpha,
+            "alpha": float(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
             "overlap_mode": config.overlap_mode,
             "ci_denominator": config.ci_denominator,
             "window": config.window,

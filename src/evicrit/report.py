@@ -11,7 +11,7 @@ output file, the CLI's ``--out`` files included, goes through one write:
   over the path, so a failed run never leaves a partial file and two runs
   into one directory never share a temporary file.
 
-``manifest.json`` holds the run's ``timings``, so it is rewritten on every run.
+``manifest.json`` follows the same rule, so an identical rerun writes no file.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ Verdict lines are printed with capture suspended so they appear in the
 live pytest log, pass or fail.
 """
 
-import json
 import subprocess
 import sys
 import time
@@ -118,10 +117,8 @@ def test_criterion_10_end_to_end(tmp_path, capsys):
                               capture_output=True, text=True, timeout=60)
         slowest = max(slowest, time.perf_counter() - started)
         assert proc.returncode == 0, proc.stderr
-        manifests.append(json.loads((out_dir / "manifest.json").read_text()))
+        manifests.append((out_dir / "manifest.json").read_bytes())
 
-    for manifest in manifests:
-        manifest.pop("timings")
     deterministic = manifests[0] == manifests[1]
 
     started = time.perf_counter()

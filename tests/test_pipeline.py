@@ -22,7 +22,7 @@ from evicrit.datasets import (
     reference_weights,
 )
 from evicrit.entropy import EntropyTable
-from evicrit.report import _atomic_write
+from evicrit.report import _atomic_write, json_text
 from evicrit.pipeline import (
     PipelineConfig,
     ingest_matrices,
@@ -336,10 +336,18 @@ def test_run_pipeline_matches_reference_tables(inputs):
 
 def test_run_pipeline_is_deterministic(inputs):
     a = run_example(inputs).to_dict()
-    b = run_example(inputs).to_dict()
-    a.pop("timings")
-    b.pop("timings")
-    assert a == b
+    assert "timings" not in a
+    assert json_text(a) == json_text(run_example(inputs).to_dict())
+
+
+@pytest.mark.parametrize("spellings", [(1, 1.0), (-0.0, 0, 0.0)], ids=["one", "zero"])
+def test_alpha_spellings_give_one_manifest(inputs, tmp_path, spellings):
+    # one configuration, so one manifest text
+    texts = set()
+    for n, alpha in enumerate(spellings):
+        run_example(inputs, alpha=alpha, out_dir=tmp_path / str(n))
+        texts.add((tmp_path / str(n) / "manifest.json").read_bytes())
+    assert len(texts) == 1
 
 
 def test_run_pipeline_inconsistent_gate(tmp_path, inputs):
@@ -642,33 +650,37 @@ def test_failed_report_write_leaves_no_manifest(inputs, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def file_ids(out, skip=("manifest.json",)):
-    """Inode, mtime and mode of every file in ``out`` but ``skip``."""
+def file_ids(out):
+    """Inode, mtime and mode of every file in ``out``."""
     return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_mode)
-            for p in sorted(out.iterdir()) if p.name not in skip}
+            for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
-def test_identical_rerun_leaves_every_output_in_place(inputs, tmp_path, capsys, fmt):
-    out = tmp_path / "out"
-    argv = ["evaluate", *cli_inputs(inputs), "--alpha", "0.8", "--format", fmt,
+def evaluate_argv(inputs, out, fmt, alpha="0.8"):
+    return ["evaluate", *cli_inputs(inputs), "--alpha", alpha, "--format", fmt,
             "--out-dir", str(out), "--chart", str(out / "weights.svg")]
-    assert cli.run(argv) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_identical_rerun_leaves_every_output_in_place(inputs, tmp_path, capsys, fmt):
+    out, other = tmp_path / "out", tmp_path / "other"
+    assert cli.run(evaluate_argv(inputs, out, fmt)) == 0
     first = file_ids(out)
-    assert "weights.svg" in first and len(first) == (2 if fmt == "text" else 5)
-    assert cli.run(argv) == 0
+    assert {"manifest.json", "weights.svg"} <= set(first)
+    assert len(first) == (6 if fmt == "csv" else 3)
+    assert cli.run(evaluate_argv(inputs, out, fmt)) == 0
+    assert cli.run(evaluate_argv(inputs, other, fmt)) == 0
     capsys.readouterr()
     assert file_ids(out) == first
-    # the manifest is the last write of the run, also when nothing else changed
-    assert max(p.stat().st_mtime_ns for p in out.iterdir()) == \
-        (out / "manifest.json").stat().st_mtime_ns
+    # and a run into another directory writes the same bytes
+    assert sorted(p.name for p in other.iterdir()) == list(first)
+    for name in first:
+        assert (out / name).read_bytes() == (other / name).read_bytes(), name
 
 
 def test_changed_rerun_replaces_only_what_changed(inputs, tmp_path, capsys):
     def evaluate(out, alpha):
-        assert cli.run(["evaluate", *cli_inputs(inputs), "--alpha", alpha,
-                        "--format", "csv", "--out-dir", str(out),
-                        "--chart", str(out / "weights.svg")]) == 0
+        assert cli.run(evaluate_argv(inputs, out, "csv", alpha)) == 0
 
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     evaluate(out, "0.8")
@@ -687,7 +699,7 @@ def test_changed_rerun_replaces_only_what_changed(inputs, tmp_path, capsys):
             assert now[name][0] != first[name][0]
         else:
             assert now[name] == first[name]
-    assert changed == {"fusion.csv", "ranking.csv"}
+    assert changed == {"fusion.csv", "ranking.csv", "manifest.json"}
 
 
 @pytest.mark.parametrize("old", [b"ABCDEFG\r", b"abcdefg\n", b"abcdefg\rmore"],
