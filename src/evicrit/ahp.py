@@ -1,20 +1,20 @@
 """Expert pairwise-comparison matrices: geometric-mean aggregation and the
 consistency gate.
 
-The consistency index divides by the matrix order by default ("paper"
-mode); the conventional Saaty denominator of order-1 is available as
-"standard" mode.  Both are recorded in the report.
+The consistency index divides by the matrix order by default ("paper" mode);
+the conventional Saaty denominator of order-1 is "standard" mode.  Both are
+recorded in the report.  Matrix cells and RI values follow ``core.number``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import JSON_NUMBER_TYPES
+from .core import number
 from .errors import (
     EmptyInput,
     InvalidMatrix,
@@ -95,9 +95,6 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
-#: the scalar cells the matrix constructors take: a file's numbers and
-#: numpy's, by isinstance, but never a bool
-_NUMBER_CELLS = (*JSON_NUMBER_TYPES, np.integer, np.floating)
 NOT_NUMBERS = "got a ragged row or a cell that is not a number"
 
 
@@ -107,15 +104,18 @@ def number_cells(values) -> bool:
 
     An ndarray is judged by its dtype alone: float and integer arrays pass;
     str, bytes, bool and object arrays do not.  A list or tuple passes when
-    each of its items does.  Any other cell must be an int or float, numpy's
-    scalars included, and not a bool: the loaders' JSON-number rule, widened
-    to the scalars a list built from numpy results holds.
+    each of its items does.  Any other cell must be a number by
+    ``core.number``'s rule.
     """
     if isinstance(values, np.ndarray):
         return values.dtype.kind in "fiu"
     if isinstance(values, (list, tuple)):
         return all(map(number_cells, values))
-    return isinstance(values, _NUMBER_CELLS) and not isinstance(values, bool)
+    try:
+        number(values)
+    except TypeError:
+        return False
+    return True
 
 
 def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
@@ -164,15 +164,7 @@ class ConsistencyReport:
     denominator_mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "lambda_max": self.lambda_max,
-            "ci": self.ci,
-            "ri": self.ri,
-            "cr": self.cr,
-            "acceptable": self.acceptable,
-            "denominator_mode": self.denominator_mode,
-        }
+        return asdict(self)
 
 
 def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
@@ -242,7 +234,10 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     n = m.order
     if n not in table:
         raise MissingRI(f"no random index for order {n}")
-    ri = float(table[n])
+    try:
+        ri = number(table[n])
+    except (TypeError, OverflowError) as e:
+        raise MissingRI(f"random index for order {n}: {e}") from None
     if n > 2 and not 0.0 < ri < math.inf:
         raise MissingRI(f"random index for order {n} must be positive and "
                         f"finite, got {ri!r}")

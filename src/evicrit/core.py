@@ -4,12 +4,13 @@ All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
 are deterministic (always grade order).  Every mass function lives on that
 frame: an immutable tuple of 32 floats, one slot per subset, indexed by its
-bits.
+bits.  ``number`` is the one rule for every number a caller or a file gives.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -24,8 +25,21 @@ from .errors import (
 
 #: tolerance for "masses sum to one" checks
 MASS_SUM_TOL = 1e-9
-#: masses smaller than this are pruned after combination arithmetic
-MASS_PRUNE_EPS = 1e-12
+
+#: the types json.loads gives a number, not bool: ``number``'s exact-type fast form
+JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
+
+
+def number(value) -> float:
+    """``value`` as a float if it is a number, else TypeError.
+
+    A number is a ``numbers.Real`` but not a bool: int, float, Fraction and
+    numpy's integer and floating scalars.  An int beyond float raises OverflowError.
+    """
+    if type(value) in JSON_NUMBER_TYPES or (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
 
 
 class Label(IntEnum):
@@ -142,24 +156,26 @@ class Bpa:
     The masses live in ``vector``, an immutable tuple of ``SLOTS`` floats;
     slot ``i`` holds the mass of ``Subset(i)``.  The constructor takes a
     mapping from subset to mass or ``SLOTS`` slot values (a list, tuple or
-    array) and always copies them into a new tuple, so nothing the caller
-    keeps can change the Bpa, and ``vector`` cannot be reassigned.  Every
-    mass function lives on the five-grade frame; one defined on fewer
-    grades is the same vector with no mass on subsets outside them.
+    array), each a ``number`` (else TypeError), and always copies them into
+    a new tuple, so nothing the caller keeps can change the Bpa, and
+    ``vector`` cannot be reassigned.  Every mass function lives on the
+    five-grade frame: one on fewer grades has no mass outside them.
     """
 
     vector: tuple[float, ...]
 
-    def __init__(self, masses: Mapping[Subset, float] | Iterable[float]):
+    def __init__(self, masses: Mapping[Subset, float] | Sequence[float]):
         if isinstance(masses, Mapping):
             slots = [0.0] * SLOTS
             for subset, mass in masses.items():
-                slots[subset.bits] = float(mass)
-            vector = tuple(slots)
-        else:
-            vector = tuple(map(float, masses))
-            if len(vector) != SLOTS:
-                raise ValueError(f"need {SLOTS} slot values, got {len(vector)}")
+                slots[subset.bits] = mass
+            masses = slots
+        try:  # float.conjugate: exact floats at C speed, TypeError on any other type
+            vector = tuple(map(float.conjugate, masses))
+        except TypeError:
+            vector = tuple(map(number, masses))
+        if len(vector) != SLOTS:
+            raise ValueError(f"need {SLOTS} slot values, got {len(vector)}")
         object.__setattr__(self, "vector", vector)
 
     def mass(self, subset: Subset) -> float:
@@ -238,18 +254,6 @@ def validate_bpa(b: Bpa) -> Bpa:
 
 # --- BPA fixture format (JSON) ----------------------------------------------
 
-#: the exact types that json.loads gives a JSON number; a bool is an int
-#: but not one of them
-JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
-
-
-def json_number(value) -> float:
-    """A parsed JSON number (int or float, not bool) as a float, else TypeError."""
-    if type(value) not in JSON_NUMBER_TYPES:
-        raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
-
-
 def bpa_to_dict(b: Bpa) -> dict:
     """Serialize to the fixture layout: frame names plus subset/mass entries."""
     return {
@@ -278,7 +282,7 @@ def bpa_from_dict(data: Mapping) -> Bpa:
     for pos, entry in enumerate(entries):
         try:
             names = entry["subset"]
-            mass = json_number(entry["mass"])
+            mass = number(entry["mass"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError(f'masses[{pos}] needs "subset" and numeric "mass"') from None
         if not isinstance(names, list):

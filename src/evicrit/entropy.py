@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .ahp import NOT_NUMBERS, frozen_copy, number_cells
+from .core import number
 from .errors import (
     AllZeroDivergence,
     DegeneratePriors,
@@ -186,10 +187,14 @@ def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,
     lam_tuple = None
     adjusted = None
     if priors is not None:
-        missing = [i for i in d.ids if i not in priors]
-        if missing:
-            raise DegeneratePriors(f"no prior for {missing[0]}")
-        lam = np.array([float(priors[i]) for i in d.ids])
+        lam = np.empty(len(d.ids))
+        for j, indicator_id in enumerate(d.ids):
+            try:
+                lam[j] = number(priors[indicator_id])
+            except KeyError:
+                raise DegeneratePriors(f"no prior for {indicator_id}") from None
+            except (TypeError, OverflowError) as e:
+                raise DegeneratePriors(f"prior for {indicator_id}: {e}") from None
         adjusted_arr = adjust_weights(w, lam)
         lam_tuple = tuple(lam.tolist())
         adjusted = tuple(adjusted_arr.tolist())

@@ -82,17 +82,17 @@ class AllZeroDivergence(EvicritError):
 
 
 class DegeneratePriors(EvicritError):
-    """A prior is negative or not finite, or the priors zero out every column."""
+    """A prior is not a nonnegative finite number, or priors zero out every column."""
 
 
 # --- scores and fuzzification ----------------------------------------------
 
 class ScoreOutOfRange(EvicritError):
-    """A score lies outside the [0, 10] scale."""
+    """A score is not a number or lies outside the [0, 10] scale."""
 
 
 class DiscountOutOfRange(EvicritError):
-    """A reliability discount factor lies outside [0, 1]."""
+    """A reliability discount factor is not a number or lies outside [0, 1]."""
 
 
 # --- ingestion and orchestration --------------------------------------------

@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     EMPTY_SET,
     FRAME,
-    MASS_PRUNE_EPS,
     SLOTS,
     SUBSETS,
     Bpa,
@@ -87,11 +86,7 @@ def dempster_combine(m1: Bpa, m2: Bpa) -> CombinationResult:
     if 1.0 - k <= CONFLICT_EPS:
         raise TotalConflict(f"total conflict (k = {k!r}); combination undefined",
                             conflict_k=k)
-    masses = [0.0] * SLOTS
-    for bits in range(1, SLOTS):
-        value = slots[bits] / (1.0 - k)
-        if value >= MASS_PRUNE_EPS:
-            masses[bits] = value
+    masses = [0.0] + [m / (1.0 - k) for m in slots[1:]]
     return CombinationResult(bpa=unit_normalized(masses), conflict_k=k)
 
 

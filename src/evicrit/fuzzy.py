@@ -3,7 +3,8 @@ construction of mass functions from memberships.
 
 Each grade peaks at 0, 2.5, 5, 7.5, or 10 and falls off linearly with
 slope 0.4, so at any score at most two adjacent grades are active and the
-memberships always sum to one.
+memberships always sum to one.  Scores and discount factors are numbers
+by ``core.number``'s rule.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FRAME, FULL_SET, SLOTS, Bpa, Label, unit_normalized
-from .errors import DiscountOutOfRange, ScoreOutOfRange
+from .core import FRAME, FULL_SET, SLOTS, Bpa, Label, number, unit_normalized
+from .errors import DiscountOutOfRange, EvicritError, ScoreOutOfRange
 
-SCORE_MIN = 0.0
 SCORE_MAX = 10.0
 SLOPE = 0.4
 
@@ -28,18 +28,23 @@ OVERLAP_THETA = "theta"
 OVERLAP_MODES = (OVERLAP_ADJACENT, OVERLAP_THETA)
 
 
-def check_score(x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or not SCORE_MIN <= x <= SCORE_MAX:
-        raise ScoreOutOfRange(f"score {x!r} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]")
+def _checked(value, high: float, error: type[EvicritError], what: str) -> float:
+    """``value`` as a float in [0, ``high``], else ``error`` naming ``what``."""
+    try:
+        x = number(value)
+    except (TypeError, OverflowError) as e:
+        raise error(f"{what}: {e}") from None
+    if math.isnan(x) or not 0.0 <= x <= high:
+        raise error(f"{what} {x!r} outside [0, {high:g}]")
     return x
 
 
+def check_score(x: float) -> float:
+    return _checked(x, SCORE_MAX, ScoreOutOfRange, "score")
+
+
 def check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise DiscountOutOfRange(f"discount factor {alpha!r} outside [0, 1]")
-    return alpha
+    return _checked(alpha, 1.0, DiscountOutOfRange, "discount factor")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .ahp import (
     consistency,
     pairwise_matrices,
 )
-from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, json_number
+from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -88,9 +88,7 @@ class PipelineConfig:
 
     def validated(self) -> "PipelineConfig":
         try:
-            check_alpha(json_number(self.alpha))
-        except TypeError:
-            raise ConfigError(f"alpha must be a number, got {self.alpha!r}") from None
+            check_alpha(self.alpha)
         except EvicritError as e:
             raise ConfigError(f"alpha: {e}") from None
         if self.overlap_mode not in OVERLAP_MODES:
@@ -240,11 +238,11 @@ def _csv_pairs(path: str | Path, text: str, header: list[str], ids: Sequence[str
     """(indicator, value) for each nonblank row after ``header`` of a CSV file.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
-    column and in its last a number (the row's ``what``; ASCII without
-    ``_``, which ``float`` alone does not ask) that ``parse`` turns into the
-    value.  No row repeats its key (all columns but the number), and the
-    rows cover ``ids``.  A file that breaks a rule on whole columns is
-    walked row by row, to name the line on which the first faulty row ends.
+    column and in its last a number (the row's ``what``; ASCII without ``_``,
+    which ``float`` alone does not ask) that ``parse`` checks as a float.  No
+    row repeats its key (all columns but the number), and the rows cover
+    ``ids``.  A file that breaks a rule on whole columns is walked row by
+    row, to name the line on which the first faulty row ends.
     """
     pairs = _csv_columns(text, header, ids, parse)
     if pairs is not None:
@@ -264,16 +262,16 @@ def _csv_pairs(path: str | Path, text: str, header: list[str], ids: Sequence[str
             if len(row) != len(header):
                 raise ParseError(f"{path}:{line}: expected {len(header)} columns, "
                                  f"got {len(row)}")
-            *key, number = row
+            *key, cell = row
             if key[-1] not in ids:
                 raise UnknownIndicator(f"{path}:{line}: unknown indicator "
                                        f"{key[-1]!r}")
             try:
-                if "_" in number or not number.isascii():
-                    raise ValueError(number)
-                value = parse(number)
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(cell)
+                value = parse(float(cell))
             except ValueError:
-                raise ParseError(f"{path}:{line}: {what} {number!r} is not "
+                raise ParseError(f"{path}:{line}: {what} {cell!r} is not "
                                  f"a number") from None
             except EvicritError as e:
                 raise type(e)(f"{path}:{line}: {e}") from None
@@ -397,8 +395,7 @@ def _expert_matrices(path: str | Path, expert_ids: list[str], values
     return list(zip(expert_ids, matrices))
 
 
-def _check_prior(number: str | float) -> float:
-    value = float(number)
+def _check_prior(value: float) -> float:
     if not 0.0 <= value < math.inf:
         raise DegeneratePriors(f"prior {value!r} is not a nonnegative finite real")
     return value
@@ -431,13 +428,12 @@ def load_ri_table(path: str | Path, *, digests: dict | None = None
     table = dict(DEFAULT_RI)
     for key, value in doc.items():
         try:
-            if not (key.isascii() and key.isdigit()):
-                raise ValueError(f"order {key!r} is not a decimal integer")
-            order = int(key)
-            ri = json_number(value)
+            order, ri = int(key), number(value)
         except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}") from None
-        if order < 1 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2)):
+        # one spelling per order: ASCII digits with no leading zero
+        if (not key.isascii() or not key.isdigit() or key.startswith("0")
+                or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2))):
             raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}")
         table[order] = ri
     return table
@@ -634,7 +630,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         version=__version__,
         inputs=inputs,
         config={
-            "alpha": float(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
+            "alpha": number(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
             "overlap_mode": config.overlap_mode,
             "ci_denominator": config.ci_denominator,
             "window": config.window,

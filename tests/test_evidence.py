@@ -12,7 +12,6 @@ from evicrit.core import (
     EMPTY_SET,
     FRAME,
     FULL_SET,
-    MASS_PRUNE_EPS,
     Label,
     Subset,
     unit_normalized,
@@ -304,11 +303,8 @@ def bucketed_dempster(m1, m2):
     k = math.fsum(buckets.pop(EMPTY_SET, ()))
     if 1.0 - k <= CONFLICT_EPS:
         return None
-    masses = {}
-    for subset, products in buckets.items():
-        value = math.fsum(products) / (1.0 - k)
-        if value >= MASS_PRUNE_EPS:
-            masses[subset] = value
+    masses = {subset: math.fsum(products) / (1.0 - k)
+              for subset, products in buckets.items()}
     total = math.fsum(masses.values())
     if total != 1.0:
         masses = {s: m / total for s, m in masses.items()}

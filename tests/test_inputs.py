@@ -115,8 +115,12 @@ def test_401_digit_integer_is_parse_error(tmp_path, loader, doc):
     (load_ri_table, {"1_4": 1.57}, "bad RI entry '1_4'"),
     (load_ri_table, {" 14": 1.57}, "bad RI entry ' 14'"),
     (load_ri_table, {"+14": 1.57}, "bad RI entry '+14'"),
+    # one spelling per order: "014" is not a second key for order 14
+    (load_ri_table, {"14": 1.57, "014": 9.0}, "bad RI entry '014'"),
+    (load_ri_table, {"014": 9.0, "14": 1.57}, "bad RI entry '014'"),
 ], ids=["mass-true", "mass-string", "cell-true", "cell-string", "ri-string",
-        "ri-key-underscore", "ri-key-space", "ri-key-plus"])
+        "ri-key-underscore", "ri-key-space", "ri-key-plus", "ri-key-zero-after",
+        "ri-key-zero-first"])
 def test_numeric_fields_need_json_numbers(tmp_path, loader, doc, field):
     p = write(tmp_path / "d.json", json.dumps(doc))
     with pytest.raises(errors.ParseError) as exc:

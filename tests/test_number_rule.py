@@ -1,0 +1,112 @@
+"""One number rule for every scalar a caller or a file gives (``core.number``).
+
+Each entry point takes an int, a float and numpy's integer and floating
+scalars, with the same result as for the equal float, and refuses a str,
+bytes, a bool, numpy's bool and None with the error class it already uses.
+"""
+
+import json
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from evicrit import errors
+from evicrit.ahp import PairwiseMatrix, consistency
+from evicrit.core import FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, number
+from evicrit.entropy import DecisionMatrix, build_table
+from evicrit.fuzzy import check_alpha, check_score, membership, to_bpa
+from evicrit.pipeline import PipelineConfig, load_ri_table
+
+H = Subset.from_names(["H"])
+MATRIX = PairwiseMatrix([[1.0, 2.0, 4.0], [0.5, 1.0, 3.0], [0.25, 1 / 3, 1.0]])
+DECISION = DecisionMatrix([[2.0, 1.0, 4.0], [6.0, 3.0, 4.0]], ["a", "b", "c"])
+
+
+def _validated(v):
+    PipelineConfig(scores="s.csv", matrices="m.json", alpha=v).validated()
+
+
+def _bpa_slots(v):
+    masses = [0.0] * SLOTS
+    masses[H.bits] = v
+    return Bpa(masses).vector
+
+
+def _bpa_fixture(v):
+    rest = 0.25 if v == 0.75 else 0.0  # the masses sum to 1 for 1 and 0.75
+    return bpa_from_dict({"frame": ["VL", "L", "M", "H", "VH"],
+                          "masses": [{"subset": ["H"], "mass": v},
+                                     {"subset": ["VL", "L", "M", "H", "VH"], "mass": rest}]})
+
+
+def _ri_file(tmp_path, v):
+    path = tmp_path / "ri.json"
+    path.write_text(json.dumps({"3": v}))
+    return load_ri_table(path)
+
+
+# name: (call, error for a non-number, whether the value must be JSON)
+ENTRY_POINTS = {
+    "config-alpha": (_validated, errors.ConfigError, False),
+    "check_alpha": (check_alpha, errors.DiscountOutOfRange, False),
+    "to_bpa": (lambda v: to_bpa(membership(6.25), alpha=v), errors.DiscountOutOfRange, False),
+    "check_score": (check_score, errors.ScoreOutOfRange, False),
+    "membership": (membership, errors.ScoreOutOfRange, False),
+    "consistency-ri": (lambda v: consistency(MATRIX, ri_table={3: v}), errors.MissingRI, False),
+    "build_table-prior": (lambda v: build_table(DECISION, priors={"a": v, "b": 0.5, "c": 0.25}),
+                          errors.DegeneratePriors, False),
+    "bpa-mapping": (lambda v: Bpa({H: v, FULL_SET: 0.25}).vector, TypeError, False),
+    "bpa-slots": (_bpa_slots, TypeError, False),
+    "bpa_from_dict": (_bpa_fixture, errors.ParseError, False),
+    "load_ri_table": (_ri_file, errors.ParseError, True),
+}
+NUMBERS = {"int": 1, "float": 0.75, "float64": np.float64(0.75),
+           "float32": np.float32(0.75), "int64": np.int64(1)}
+NOT_NUMBERS = {"str": "5", "bytes": b"5", "bool": True, "np-bool": np.True_, "none": None}
+
+
+def _json_safe(value):
+    return type(value) in (int, float, str, bool, type(None))
+
+
+def _cases(values):
+    return [pytest.param(entry, value, id=f"{entry}-{kind}")
+            for entry, (_, _, json_only) in ENTRY_POINTS.items()
+            for kind, value in values.items()
+            if not json_only or _json_safe(value)]
+
+
+def _call(entry, value, tmp_path):
+    call = ENTRY_POINTS[entry][0]
+    return call(tmp_path, value) if call is _ri_file else call(value)
+
+
+@pytest.mark.parametrize("entry, value", _cases(NUMBERS))
+def test_entry_points_take_numbers_as_the_equal_float(tmp_path, entry, value):
+    got = _call(entry, value, tmp_path)
+    want = _call(entry, float(value), tmp_path)
+    # repr also tells a numpy scalar from a float that compares equal
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("entry, value", _cases(NOT_NUMBERS))
+def test_entry_points_refuse_what_is_not_a_number(tmp_path, entry, value):
+    with pytest.raises(ENTRY_POINTS[entry][1]):
+        _call(entry, value, tmp_path)
+
+
+@pytest.mark.parametrize("value", [
+    1, 0.5, -2, Fraction(1, 2), np.float64(0.5), np.float32(0.5), np.int64(3), np.uint8(3)],
+    ids=["int", "float", "negative", "fraction", "float64", "float32", "int64", "uint8"])
+def test_number_takes_reals(value):
+    assert type(number(value)) is float and number(value) == value
+
+
+@pytest.mark.parametrize("value", [
+    "5", b"5", True, False, np.True_, None, Decimal(1), 1j, [1.0]],
+    ids=["str", "bytes", "true", "false", "np-bool", "none", "decimal", "complex", "list"])
+def test_number_refuses_the_rest(value):
+    with pytest.raises(TypeError):
+        number(value)

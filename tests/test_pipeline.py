@@ -340,7 +340,8 @@ def test_run_pipeline_is_deterministic(inputs):
     assert json_text(a) == json_text(run_example(inputs).to_dict())
 
 
-@pytest.mark.parametrize("spellings", [(1, 1.0), (-0.0, 0, 0.0)], ids=["one", "zero"])
+@pytest.mark.parametrize("spellings", [(1, 1.0), (-0.0, 0, 0.0), (0.8, np.float64(0.8))],
+                         ids=["one", "zero", "float64"])
 def test_alpha_spellings_give_one_manifest(inputs, tmp_path, spellings):
     # one configuration, so one manifest text
     texts = set()
