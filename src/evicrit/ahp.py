@@ -84,9 +84,7 @@ def _check_stack(a: np.ndarray) -> None:
             index, message = end, "all entries must be positive finite reals"
         else:
             return
-    error = InvalidMatrix(message)
-    error.index = index
-    raise error
+    raise InvalidMatrix(message, index=index)
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:

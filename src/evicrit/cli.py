@@ -184,21 +184,11 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InconsistentMatrix as e:
-        _print_error(e)
-        return EXIT_INCONSISTENT
-    except IoError as e:
-        _print_error(e)
-        return EXIT_IO
     except EvicritError as e:
-        _print_error(e)
-        return EXIT_VALIDATION
-
-
-def _print_error(e: EvicritError):
-    stage = getattr(e, "stage", None)
-    location = f" [stage: {stage}]" if stage else ""
-    print(f"evicrit: error{location}: {e}", file=sys.stderr)
+        stage = f" [stage: {e.stage}]" if e.stage else ""
+        print(f"evicrit: error{stage}: {e}", file=sys.stderr)
+        return (EXIT_INCONSISTENT if isinstance(e, InconsistentMatrix)
+                else EXIT_IO if isinstance(e, IoError) else EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
 are deterministic (always grade order).  Every mass function lives on that
 frame: an immutable tuple of 32 floats, one slot per subset, indexed by its
-bits.  ``number`` is the one rule for every number a caller or a file gives.
+bits.  ``number`` is the one rule for every number a caller or a file gives,
+and ``count`` the one rule for every whole count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -40,6 +42,14 @@ def number(value) -> float:
             isinstance(value, numbers.Real) and not isinstance(value, bool)):
         return float(value)
     raise TypeError(f"{value!r} is not a number")
+
+
+def count(value) -> int:
+    """``value`` as an int if it is a count, else TypeError: a count is a
+    ``numbers.Integral`` but not a bool (int and numpy's integer scalars)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return operator.index(value)
+    raise TypeError(f"{value!r} is not an integer")
 
 
 class Label(IntEnum):

@@ -1,8 +1,13 @@
 """Exception hierarchy shared by all evicrit modules.
 
-Every library error derives from :class:`EvicritError`.  The pipeline
-annotates exceptions it re-raises with the name of the stage that failed
-(``stage`` attribute) so the CLI can point at the right place.
+Every library error derives from :class:`EvicritError`, whose ``args[0]`` is
+the bare message.  Where it happened is data: ``path``, ``line`` and
+``field`` locate a fault in an input file (the pipeline's loaders set
+``path``), and ``str(e)`` reads ``path:line: field: message`` from those
+that are set.  The pipeline sets ``stage`` to the stage that failed.  Each
+detail, these and a subclass's own, is a keyword of ``EvicritError(message,
+**details)`` and a public class attribute that defaults to None; another
+name raises TypeError.
 """
 
 from __future__ import annotations
@@ -12,6 +17,20 @@ class EvicritError(Exception):
     """Base class for all evicrit errors."""
 
     stage: str | None = None
+    path = None
+    line: int | None = None
+    field: str | None = None
+
+    def __init__(self, *args, **details):
+        super().__init__(*args)
+        for name, value in details.items():
+            if name.startswith("_") or getattr(type(self), name, True) is not None:
+                raise TypeError(f"{type(self).__name__} has no detail {name!r}")
+            setattr(self, name, value)
+
+    def __str__(self) -> str:
+        where = ":".join(str(p) for p in (self.path, self.line) if p is not None)
+        return ": ".join(p for p in (where, self.field, super().__str__()) if p)
 
 
 # --- mass functions -------------------------------------------------------
@@ -35,9 +54,7 @@ class FrameMismatch(EvicritError):
 class TotalConflict(EvicritError):
     """Two bodies of evidence are fully conflicting; combination undefined."""
 
-    def __init__(self, message: str, conflict_k: float | None = None):
-        super().__init__(message)
-        self.conflict_k = conflict_k
+    conflict_k: float | None = None
 
 
 # --- matrices and weighting -----------------------------------------------
@@ -60,9 +77,7 @@ class InvalidMatrix(EvicritError):
 class NoConvergence(EvicritError):
     """Power iteration hit its iteration cap without converging."""
 
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
+    last_estimate: float | None = None
 
 
 class MissingRI(EvicritError):
@@ -98,7 +113,7 @@ class DiscountOutOfRange(EvicritError):
 # --- ingestion and orchestration --------------------------------------------
 
 class ParseError(EvicritError):
-    """An input file is malformed; the message locates the offending part."""
+    """An input file is malformed; ``path``, ``line`` and ``field`` locate it."""
 
 
 class MissingIndicator(EvicritError):
@@ -112,9 +127,7 @@ class UnknownIndicator(EvicritError):
 class InconsistentMatrix(EvicritError):
     """Aggregated judgments failed the consistency gate (CR >= 0.1)."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    report = None
 
 
 class ConfigError(EvicritError):

@@ -26,6 +26,7 @@ from .core import (
     SUBSETS,
     Bpa,
     Label,
+    number,
     subsets_of,
     unit_normalized,
 )
@@ -173,16 +174,22 @@ class RankingReport:
 def rank(values: Mapping[str, float], note: str = "") -> RankingReport:
     """Rank ids by descending value.
 
-    Tied ids keep their order in ``values``.  A NaN value raises
-    ValueError, because it has no place in the order.
+    Tied ids keep their order in ``values``.  A value that is not a number
+    by ``core.number``'s rule, or is NaN, raises ValueError, because it has
+    no place in the order.
     """
     if len(values) == 0:
         raise EmptyInput("nothing to rank")
+    numeric = {}
     for identifier, value in values.items():
-        if math.isnan(value):
+        try:
+            numeric[identifier] = number(value)
+        except (TypeError, OverflowError) as e:
+            raise ValueError(f"cannot rank {identifier!r}: {e}") from None
+        if math.isnan(numeric[identifier]):
             raise ValueError(f"cannot rank {identifier!r}: its value is NaN")
-    ordered = sorted(values.items(), key=lambda kv: -kv[1])
-    entries = tuple((identifier, float(value), position + 1)
+    ordered = sorted(numeric.items(), key=lambda kv: -kv[1])
+    entries = tuple((identifier, value, position + 1)
                     for position, (identifier, value) in enumerate(ordered))
     return RankingReport(entries=entries, top=entries[0][0], bottom=entries[-1][0],
                          note=note)

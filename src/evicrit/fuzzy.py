@@ -3,8 +3,8 @@ construction of mass functions from memberships.
 
 Each grade peaks at 0, 2.5, 5, 7.5, or 10 and falls off linearly with
 slope 0.4, so at any score at most two adjacent grades are active and the
-memberships always sum to one.  Scores and discount factors are numbers
-by ``core.number``'s rule.
+memberships always sum to one.  Scores, discount factors and memberships
+are numbers by ``core.number``'s rule.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class MembershipVector:
     def __post_init__(self):
         if len(self.values) != len(FRAME):
             raise ValueError(f"need {len(FRAME)} memberships, got {len(self.values)}")
+        try:
+            object.__setattr__(self, "values", tuple(map(number, self.values)))
+        except (TypeError, OverflowError) as e:
+            raise ValueError(f"membership: {e}") from None
         for v in self.values:
             if math.isnan(v) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"membership {v!r} outside [0, 1]")

@@ -37,7 +37,7 @@ from .ahp import (
     consistency,
     pairwise_matrices,
 )
-from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, number
+from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, count, number
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -101,9 +101,7 @@ class PipelineConfig:
             raise ConfigError(f"format must be one of {REPORT_FORMATS}, "
                               f"got {self.fmt!r}")
         for name in ("window", "stride"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            value = _counted(name, getattr(self, name))
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if not isinstance(self.force, bool):
@@ -118,6 +116,14 @@ class PipelineConfig:
         return self
 
 
+def _counted(name: str, value) -> int:
+    """``value`` by ``core.count``'s rule, else ConfigError naming ``name``."""
+    try:
+        return count(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ...], ...]:
     """Sliding index windows over ``ids``: starts 0, stride, 2*stride, ...
 
@@ -125,6 +131,7 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
     the id list is a configuration error.
     """
     n = len(ids)
+    window, stride = _counted("window", window), _counted("stride", stride)
     if window < 1 or window > n:
         raise ConfigError(f"window must be in 1..{n}, got {window}")
     if stride < 1:
@@ -147,17 +154,23 @@ def _collector_paused(loader):
     collect: parsed JSON and CSV hold no reference cycles, nor do the
     loaders' results, so reference counting frees all of it.  The pause
     covers the whole loader, because the document lives until the loader
-    returns.  A collector the caller disabled stays disabled.
+    returns.  A collector the caller disabled stays disabled.  This is also
+    the one place that sets ``path`` on an EvicritError leaving a loader.
     """
     @functools.wraps(loader)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return loader(*args, **kwargs)
+    def paused(path, *args, **kwargs):
+        enabled = gc.isenabled()
         gc.disable()
         try:
-            return loader(*args, **kwargs)
+            return loader(path, *args, **kwargs)
+        except EvicritError as e:
+            e.path = path
+            raise
+        except OSError as e:
+            raise IoError(f"cannot read {path}: {e}") from e
         finally:
-            gc.enable()
+            if enabled:
+                gc.enable()
     return paused
 
 
@@ -167,16 +180,13 @@ def _read_text(path: str | Path, digests: dict | None) -> str:
     The SHA-256 of the bytes read goes into ``digests`` under ``path``
     unless ``digests`` is None.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
+    data = Path(path).read_bytes()
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: byte {e.start}: not UTF-8 ({e.reason})") from None
+        raise ParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.removeprefix("\ufeff")
@@ -195,10 +205,8 @@ def _read_json(path: str | Path, digests: dict | None):
     text = _read_text(path, digests)
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except ParseError as e:
-        raise ParseError(f"{path}: {e}") from None
     except (ValueError, RecursionError) as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from None
+        raise ParseError(f"invalid JSON: {e}") from None
 
 
 def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
@@ -233,8 +241,7 @@ def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
     return zip(indicators, values)
 
 
-def _csv_pairs(path: str | Path, text: str, header: list[str], ids: Sequence[str],
-               what: str, parse):
+def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, parse):
     """(indicator, value) for each nonblank row after ``header`` of a CSV file.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
@@ -253,45 +260,42 @@ def _csv_pairs(path: str | Path, text: str, header: list[str], ids: Sequence[str
     try:
         first = next(reader, None)
         if first != header:
-            raise ParseError(f"{path}: expected header {','.join(header)}, "
-                             f"got {first}")
+            raise ParseError(f"expected header {','.join(header)}, got {first}")
         for row in reader:
             if not row:
                 continue
             line = reader.line_num
             if len(row) != len(header):
-                raise ParseError(f"{path}:{line}: expected {len(header)} columns, "
-                                 f"got {len(row)}")
+                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                 line=line)
             *key, cell = row
             if key[-1] not in ids:
-                raise UnknownIndicator(f"{path}:{line}: unknown indicator "
-                                       f"{key[-1]!r}")
+                raise UnknownIndicator(f"unknown indicator {key[-1]!r}", line=line)
             try:
                 if "_" in cell or not cell.isascii():
                     raise ValueError(cell)
                 value = parse(float(cell))
             except ValueError:
-                raise ParseError(f"{path}:{line}: {what} {cell!r} is not "
-                                 f"a number") from None
+                raise ParseError(f"{what} {cell!r} is not a number", line=line) from None
             except EvicritError as e:
-                raise type(e)(f"{path}:{line}: {e}") from None
+                e.line = line
+                raise
             seen_at = seen.setdefault(tuple(key), line)
             if seen_at != line:
-                raise ParseError(f"{path}:{line}: expert {key[0]!r} already scored "
-                                 f"{key[1]} at line {seen_at}" if what == "score"
-                                 else f"{path}:{line}: duplicate prior for {key[0]}")
+                raise ParseError(f"expert {key[0]!r} already scored {key[1]} at line "
+                                 f"{seen_at}" if what == "score"
+                                 else f"duplicate prior for {key[0]}", line=line)
             pairs.append((key[-1], value))
     except csv.Error as e:
-        raise ParseError(f"{path}:{reader.line_num}: {e}") from None
-    _check_covered(path, ids, {i for i, _ in pairs},
-                   "scores" if what == "score" else "prior")
+        raise ParseError(str(e), line=reader.line_num) from None
+    _check_covered(ids, {i for i, _ in pairs}, "scores" if what == "score" else "prior")
     return pairs
 
 
-def _check_covered(path: str | Path, ids: Sequence[str], found, what: str):
+def _check_covered(ids: Sequence[str], found, what: str):
     missing = [i for i in ids if i not in found]
     if missing:
-        raise MissingIndicator(f"{path}: no {what} for {', '.join(missing)}")
+        raise MissingIndicator(f"no {what} for {', '.join(missing)}")
 
 
 @_collector_paused
@@ -304,8 +308,8 @@ def ingest_scores(path: str | Path, ids: Sequence[str], *,
     """
     collected: dict[str, list[float]] = {i: [] for i in ids}
     for indicator_id, value in _csv_pairs(
-            path, _read_text(path, digests), ["expert_id", "indicator", "score"],
-            ids, "score", check_score):
+            _read_text(path, digests), ["expert_id", "indicator", "score"], ids,
+            "score", check_score):
         collected[indicator_id].append(value)
     return {i: math.fsum(values) / len(values) for i, values in collected.items()}
 
@@ -319,20 +323,20 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
         ids = doc["indicators"]
         experts = doc["experts"]
     except (KeyError, TypeError):
-        raise ParseError(f'{path}: needs "indicators" and "experts" keys') from None
+        raise ParseError('needs "indicators" and "experts" keys') from None
     if (not isinstance(ids, list) or not ids
             or not all(isinstance(i, str) for i in ids)):
-        raise ParseError(f'{path}: "indicators" must be a nonempty list of ids')
+        raise ParseError('"indicators" must be a nonempty list of ids')
     for indicator_id in ids:  # a lone surrogate from a JSON escape has no UTF-8
         try:
             indicator_id.encode("utf-8")
         except UnicodeEncodeError:
-            raise ParseError(f"{path}: indicator id {indicator_id!r} is not "
-                             f"encodable as UTF-8") from None
+            raise ParseError(f"indicator id {indicator_id!r} is not encodable "
+                             f"as UTF-8") from None
     if len(set(ids)) != len(ids):
-        raise ParseError(f'{path}: duplicate indicator ids')
+        raise ParseError('duplicate indicator ids')
     if not isinstance(experts, list) or not experts:
-        raise ParseError(f'{path}: "experts" must be a nonempty list')
+        raise ParseError('"experts" must be a nonempty list')
     n = len(ids)
     k = len(experts)
     # all experts at once, their cells flattened once
@@ -352,46 +356,48 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
     if values is None:  # an expert breaks a rule: the first fault in expert order
         seen: set[str] = set()
         for pos, entry in enumerate(experts):
-            seen.add(_check_expert(path, pos, entry, n, seen))
-            _expert_matrices(path, [entry["id"]], [entry["matrix"]])
-    return tuple(ids), _expert_matrices(path, expert_ids, values)
+            seen.add(_check_expert(pos, entry, n, seen))
+            _expert_matrices([entry["id"]], [entry["matrix"]], pos)
+    return tuple(ids), _expert_matrices(expert_ids, values)
 
 
-def _check_expert(path: str | Path, pos: int, entry, n: int, seen: set[str]) -> str:
+def _check_expert(pos: int, entry, n: int, seen: set[str]) -> str:
     """The structural checks of one expert; its id."""
     try:
         expert_id = entry["id"]
         rows = entry["matrix"]
     except (KeyError, TypeError):
-        raise ParseError(f'{path}: experts[{pos}] needs "id" and "matrix"') from None
+        raise ParseError(f'experts[{pos}] needs "id" and "matrix"') from None
     if not isinstance(expert_id, str):
-        raise ParseError(f'{path}: experts[{pos}]: "id" must be a string')
+        raise ParseError('"id" must be a string', field=f"experts[{pos}]")
     if expert_id in seen:
-        raise ParseError(f"{path}: experts[{pos}]: duplicate expert id "
-                         f"{expert_id!r}")
+        raise ParseError(f"duplicate expert id {expert_id!r}", field=f"experts[{pos}]")
+    field = f"expert {expert_id!r}"
     try:
         shape = np.array(rows, dtype=float).shape
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: expert {expert_id!r}: matrix "
-                         f"is not rectangular numeric") from None
+        raise ParseError("matrix is not rectangular numeric", field=field) from None
     if shape != (n, n):
-        raise OrderMismatch(f"{path}: expert {expert_id!r}: matrix shape "
-                            f"{shape} does not match {n} indicators")
+        raise OrderMismatch(f"matrix shape {shape} does not match {n} indicators",
+                            field=field)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if type(cell) not in JSON_NUMBER_TYPES:
-                raise ParseError(f"{path}: expert {expert_id!r}: matrix cell "
-                                 f"({i + 1},{j + 1}) is {cell!r}, not a number")
+                raise ParseError(f"matrix cell ({i + 1},{j + 1}) is {cell!r}, "
+                                 f"not a number", field=field)
     return expert_id
 
 
-def _expert_matrices(path: str | Path, expert_ids: list[str], values
+def _expert_matrices(expert_ids: list[str], values, first: int = 0
                      ) -> list[tuple[str, PairwiseMatrix]]:
-    """(expert id, matrix) for each expert, the matrices checked as one stack."""
+    """(expert id, matrix) for each expert, the matrices checked as one stack;
+    an InvalidMatrix names its expert, whose position is ``first`` + ``index``."""
     try:
         matrices = pairwise_matrices(values)
     except InvalidMatrix as e:
-        raise InvalidMatrix(f"{path}: expert {expert_ids[e.index]!r}: {e}") from None
+        e.field = f"expert {expert_ids[e.index]!r}"
+        e.index += first
+        raise
     return list(zip(expert_ids, matrices))
 
 
@@ -409,8 +415,8 @@ def ingest_priors(path: str | Path, ids: Sequence[str], *,
     The file must give exactly one nonnegative finite prior for each id in
     ``ids`` and none for any other id.
     """
-    priors = dict(_csv_pairs(path, _read_text(path, digests), ["indicator", "lambda"],
-                             ids, "prior", _check_prior))
+    priors = dict(_csv_pairs(_read_text(path, digests), ["indicator", "lambda"], ids,
+                             "prior", _check_prior))
     return {i: priors[i] for i in ids}
 
 
@@ -424,27 +430,28 @@ def load_ri_table(path: str | Path, *, digests: dict | None = None
     """
     doc = _read_json(path, digests)
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: RI table must be a JSON object")
+        raise ParseError("RI table must be a JSON object")
     table = dict(DEFAULT_RI)
     for key, value in doc.items():
         try:
             order, ri = int(key), number(value)
         except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}") from None
+            raise ParseError(f"bad RI entry {key!r}: {value!r}") from None
         # one spelling per order: ASCII digits with no leading zero
         if (not key.isascii() or not key.isdigit() or key.startswith("0")
                 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2))):
-            raise ParseError(f"{path}: bad RI entry {key!r}: {value!r}")
+            raise ParseError(f"bad RI entry {key!r}: {value!r}")
         table[order] = ri
     return table
 
 
-def _bpa_cell(path: str | Path, where: str, cell) -> Bpa:
-    """``bpa_from_dict(cell)``, its errors located at ``where`` in ``path``."""
+def _bpa_cell(where: str, cell) -> Bpa:
+    """``bpa_from_dict(cell)``, its errors located at the field ``where``."""
     try:
         return bpa_from_dict(cell)
     except EvicritError as e:
-        raise type(e)(f"{path}: {where}: {e}") from None
+        e.field = where
+        raise
 
 
 @_collector_paused
@@ -457,14 +464,13 @@ def load_bpa_fixtures(path: str | Path, ids: Sequence[str], *,
     known = set(ids)
     doc = _read_json(path, digests)
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: BPA fixtures must be a JSON object keyed "
-                         f"by indicator id")
+        raise ParseError("BPA fixtures must be a JSON object keyed by indicator id")
     out: dict[str, Bpa] = {}
     for indicator_id, cell in doc.items():
         if indicator_id not in known:
-            raise UnknownIndicator(f"{path}: unknown indicator {indicator_id!r}")
-        out[indicator_id] = _bpa_cell(path, indicator_id, cell)
-    _check_covered(path, ids, out, "assignment")
+            raise UnknownIndicator(f"unknown indicator {indicator_id!r}")
+        out[indicator_id] = _bpa_cell(indicator_id, cell)
+    _check_covered(ids, out, "assignment")
     return {i: out[i] for i in ids}
 
 
@@ -475,8 +481,8 @@ def load_bpa_list(path: str | Path) -> list[Bpa]:
     if isinstance(doc, dict) and "bpas" in doc:
         doc = doc["bpas"]
     if not isinstance(doc, list) or not doc:
-        raise ParseError(f"{path}: expected a nonempty list of BPA objects")
-    return [_bpa_cell(path, f"bpas[{pos}]", cell) for pos, cell in enumerate(doc)]
+        raise ParseError("expected a nonempty list of BPA objects")
+    return [_bpa_cell(f"bpas[{pos}]", cell) for pos, cell in enumerate(doc)]
 
 
 # --- manifest -----------------------------------------------------------------
@@ -633,8 +639,8 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
             "alpha": number(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
             "overlap_mode": config.overlap_mode,
             "ci_denominator": config.ci_denominator,
-            "window": config.window,
-            "stride": config.stride,
+            "window": count(config.window),  # an int, whatever integer type it came as
+            "stride": count(config.stride),
             "force": config.force,
             "score_aggregation": "mean",
             "bpa_source": "fixtures" if config.bpa_fixtures is not None else "scores",

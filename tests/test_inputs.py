@@ -45,6 +45,29 @@ def matrices_doc(cell=2.0):
             "experts": [{"id": "e1", "matrix": [[1.0, cell], [0.5, 1.0]]}]}
 
 
+# --- error locations ---------------------------------------------------------------
+
+@pytest.mark.parametrize("details, text", [
+    ({}, "bad"), ({"path": "f.csv"}, "f.csv: bad"),
+    ({"path": "f.csv", "line": 3}, "f.csv:3: bad"),
+    ({"path": "f.json", "field": "bpas[0]"}, "f.json: bpas[0]: bad"),
+    ({"path": "f.csv", "line": 3, "field": "B1", "stage": "ingest"}, "f.csv:3: B1: bad"),
+], ids=["bare", "path", "line", "field", "all"])
+def test_error_location_is_data(details, text):
+    e = errors.ParseError("bad", **details)
+    assert (str(e), e.args, repr(e)) == (text, ("bad",), "ParseError('bad')")
+    assert all(getattr(e, name) == value for name, value in details.items())
+
+
+def test_error_details_are_declared_keywords():
+    assert errors.InvalidMatrix("m", index=2).index == 2
+    assert errors.TotalConflict("k", conflict_k=1.0).conflict_k == 1.0
+    for error, name in [(errors.EvicritError, "index"), (errors.TotalConflict, "report"),
+                        (errors.ParseError, "args"), (errors.ParseError, "_x")]:
+        with pytest.raises(TypeError):
+            error("m", **{name: 1})
+
+
 # --- fixed regression cases ------------------------------------------------------
 
 def test_non_utf8_byte_names_file_and_offset(tmp_path):
@@ -178,6 +201,9 @@ def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
         ingest_matrices(p)
     assert type(exc.value) is error
     assert str(exc.value) == f"{p}: {message}"
+    assert (exc.value.path, exc.value.field) == (p, message.split(": ")[0])
+    if error is errors.InvalidMatrix:  # the expert's position in the file
+        assert exc.value.field == f"expert 'e{exc.value.index}'"
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -263,6 +289,7 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
     with pytest.raises(errors.ParseError) as exc:
         ingest_scores(p, IDS)
     assert f"{p}:4:" in str(exc.value)
+    assert exc.value.line == 4
 
 
 @pytest.mark.parametrize("name,loader,edit,where", [
@@ -277,6 +304,7 @@ def test_malformed_csv_quoting_is_parse_error(tmp_path, example, name, loader, e
     with pytest.raises(errors.ParseError) as exc:
         loader(p, ids)
     assert str(exc.value) == f"{p}{where}"
+    assert exc.value.line == int(where.split(":")[1])
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
@@ -286,6 +314,8 @@ def test_out_of_range_prior_names_file_and_line(tmp_path, value):
         ingest_priors(p, IDS)
     assert str(exc.value) == (f"{p}:3: prior {float(value)!r} is not a "
                               f"nonnegative finite real")
+    assert (exc.value.path, exc.value.line, exc.value.field) == (p, 3, None)
+    assert exc.value.args == (f"prior {float(value)!r} is not a nonnegative finite real",)
 
 
 @pytest.mark.parametrize("loader, text", [
@@ -354,8 +384,16 @@ _FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60
 def check_loader(name, path):
     try:
         LOADERS[name](path)
-    except errors.EvicritError:
+    except errors.IoError:
         pass
+    except errors.EvicritError as e:
+        # the loader locates every fault in its file, and a fault in a CSV row
+        # names the row's line; the header, the encoding and coverage have none
+        assert e.path == path and str(e).startswith(str(path))
+        if name.endswith(".csv"):
+            whole_file = (isinstance(e, errors.MissingIndicator)
+                          or e.args[0].startswith(("expected header", "byte ")))
+            assert (e.line is None) == whole_file
 
 
 def cli_argv(name, path, example):

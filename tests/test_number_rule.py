@@ -1,8 +1,11 @@
-"""One number rule for every scalar a caller or a file gives (``core.number``).
+"""One number rule for every scalar a caller or a file gives (``core.number``),
+and one count rule for every whole count (``core.count``).
 
 Each entry point takes an int, a float and numpy's integer and floating
 scalars, with the same result as for the equal float, and refuses a str,
 bytes, a bool, numpy's bool and None with the error class it already uses.
+A count is an int or one of numpy's integer scalars, with the result of the
+equal int; a float, a bool, numpy's bool, a str and None are refused.
 """
 
 import json
@@ -14,18 +17,25 @@ import pytest
 
 from evicrit import errors
 from evicrit.ahp import PairwiseMatrix, consistency
-from evicrit.core import FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, number
+from evicrit.core import FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, count, number
+from evicrit.datasets import export_example_inputs
 from evicrit.entropy import DecisionMatrix, build_table
-from evicrit.fuzzy import check_alpha, check_score, membership, to_bpa
-from evicrit.pipeline import PipelineConfig, load_ri_table
+from evicrit.evidence import rank
+from evicrit.fuzzy import MembershipVector, check_alpha, check_score, membership, to_bpa
+from evicrit.pipeline import PipelineConfig, load_ri_table, run_pipeline, windows
 
 H = Subset.from_names(["H"])
 MATRIX = PairwiseMatrix([[1.0, 2.0, 4.0], [0.5, 1.0, 3.0], [0.25, 1 / 3, 1.0]])
 DECISION = DecisionMatrix([[2.0, 1.0, 4.0], [6.0, 3.0, 4.0]], ["a", "b", "c"])
 
 
-def _validated(v):
-    PipelineConfig(scores="s.csv", matrices="m.json", alpha=v).validated()
+def _validated(v, name="alpha"):
+    PipelineConfig(scores="s.csv", matrices="m.json", **{name: v}).validated()
+
+
+def _membership_vector(v):
+    rest = 0.25 if v == 0.75 else 0.0  # the memberships sum to 1 for 1 and 0.75
+    return MembershipVector((0.0, 0.0, 0.0, v, rest)).values
 
 
 def _bpa_slots(v):
@@ -61,6 +71,8 @@ ENTRY_POINTS = {
     "bpa-slots": (_bpa_slots, TypeError, False),
     "bpa_from_dict": (_bpa_fixture, errors.ParseError, False),
     "load_ri_table": (_ri_file, errors.ParseError, True),
+    "MembershipVector": (_membership_vector, ValueError, False),
+    "rank": (lambda v: rank({"a": v, "b": 0.5}).entries, ValueError, False),
 }
 NUMBERS = {"int": 1, "float": 0.75, "float64": np.float64(0.75),
            "float32": np.float32(0.75), "int64": np.int64(1)}
@@ -110,3 +122,47 @@ def test_number_takes_reals(value):
 def test_number_refuses_the_rest(value):
     with pytest.raises(TypeError):
         number(value)
+
+
+# name: call of a count; each refuses a non-count with ConfigError
+COUNT_ENTRY_POINTS = {
+    "config-window": lambda v: _validated(v, "window"),
+    "config-stride": lambda v: _validated(v, "stride"),
+    "windows-window": lambda v: windows("abcd", v, 1),
+    "windows-stride": lambda v: windows("abcd", 1, v),
+}
+COUNTS = {"int": 2, "int64": np.int64(2), "uint8": np.uint8(2)}
+NOT_COUNTS = {"float": 2.0, "float64": np.float64(2.0), "bool": True, "np-bool": np.True_,
+              "str": "2", "none": None}
+
+
+def _count_cases(values):
+    return [pytest.param(entry, value, id=f"{entry}-{kind}")
+            for entry in COUNT_ENTRY_POINTS for kind, value in values.items()]
+
+
+@pytest.mark.parametrize("entry, value", _count_cases(COUNTS))
+def test_entry_points_take_counts_as_the_equal_int(entry, value):
+    assert COUNT_ENTRY_POINTS[entry](value) == COUNT_ENTRY_POINTS[entry](int(value))
+    assert type(count(value)) is int and count(value) == value
+
+
+@pytest.mark.parametrize("entry, value", _count_cases(NOT_COUNTS))
+def test_entry_points_refuse_what_is_not_a_count(entry, value):
+    with pytest.raises(errors.ConfigError):
+        COUNT_ENTRY_POINTS[entry](value)
+    with pytest.raises(TypeError):
+        count(value)
+
+
+def test_counts_give_the_manifest_of_the_equal_int(tmp_path):
+    # the manifest records window and stride as ints, which JSON can write
+    inputs = export_example_inputs(tmp_path / "inputs")
+    texts = set()
+    for n, (window, stride) in enumerate([(4, 2), (np.int64(4), np.uint8(2))]):
+        run_pipeline(PipelineConfig(
+            scores=inputs["scores.csv"], matrices=inputs["matrices.json"],
+            ri_table=inputs["ri.json"], window=window, stride=stride,
+            out_dir=tmp_path / str(n)))
+        texts.add((tmp_path / str(n) / "manifest.json").read_bytes())
+    assert len(texts) == 1
