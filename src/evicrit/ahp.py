@@ -232,10 +232,7 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     n = m.order
     if n not in table:
         raise MissingRI(f"no random index for order {n}")
-    try:
-        ri = number(table[n])
-    except (TypeError, OverflowError) as e:
-        raise MissingRI(f"random index for order {n}: {e}") from None
+    ri = number(table[n], MissingRI, f"random index for order {n}")
     if n > 2 and not 0.0 < ri < math.inf:
         raise MissingRI(f"random index for order {n} must be positive and "
                         f"finite, got {ri!r}")

@@ -16,6 +16,7 @@ from dataclasses import fields
 
 from ._version import __version__
 from .ahp import CI_DENOMINATOR_MODES, aggregate_geometric, consistency
+from .core import number_text
 from .entropy import DecisionMatrix, build_table
 from .errors import EvicritError, InconsistentMatrix, IoError
 from .evidence import murphy_combine
@@ -46,6 +47,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _text_rule(kind):
+    """An argparse type that reads ``kind`` by ``core.number_text``'s rule;
+    argparse names it ``kind`` in its message for refused text."""
+    def read(text: str):
+        return number_text(text, kind)
+    read.__name__ = kind.__name__
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="evicrit",
                      description="Entropy-weighted fuzzy-evidential evaluation "
@@ -60,12 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV of expert scores (expert_id,indicator,score)")
     ev.add_argument("--matrices", required=True,
                     help="JSON of expert pairwise matrices")
-    ev.add_argument("--priors", required=True,
-                    help="CSV of prior weights (indicator,lambda)")
+    ev.add_argument("--priors",
+                    help="CSV of prior weights (indicator,lambda); adds the "
+                         "adjusted-weight ranking")
     ev.add_argument("--bpa-fixtures",
                     help="JSON of per-indicator mass functions; replaces "
                          "score fuzzification in the fusion stage")
-    ev.add_argument("--alpha", type=float, default=PipelineConfig.alpha,
+    ev.add_argument("--alpha", type=_text_rule(float), default=PipelineConfig.alpha,
                     help="evidence reliability in [0,1] (default %(default)s)")
     ev.add_argument("--overlap-mode", choices=OVERLAP_MODES,
                     default=PipelineConfig.overlap_mode,
@@ -76,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CI denominator: n or n-1")
     ev.add_argument("--ri-table",
                     help="JSON random-index overrides (order -> RI)")
-    ev.add_argument("--window", type=int, default=PipelineConfig.window,
+    ev.add_argument("--window", type=_text_rule(int), default=PipelineConfig.window,
                     help="fusion window width (default %(default)s)")
-    ev.add_argument("--stride", type=int, default=PipelineConfig.stride,
+    ev.add_argument("--stride", type=_text_rule(int), default=PipelineConfig.stride,
                     help="fusion window stride (default %(default)s)")
     ev.add_argument("--out-dir", help="directory for manifest and report files")
     ev.add_argument("--format", choices=REPORT_FORMATS, default=PipelineConfig.fmt,

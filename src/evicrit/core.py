@@ -4,8 +4,9 @@ All types here are immutable values.  Subsets are encoded as bitmasks over
 the fixed five-grade frame so that equality, hashing, and iteration order
 are deterministic (always grade order).  Every mass function lives on that
 frame: an immutable tuple of 32 floats, one slot per subset, indexed by its
-bits.  ``number`` is the one rule for every number a caller or a file gives,
-and ``count`` the one rule for every whole count.
+bits.  ``number`` is the one rule for every number a caller or a file gives
+and for its refusal; ``number_text`` is the one rule for number text, and
+``count`` the one rule for every whole count.
 """
 
 from __future__ import annotations
@@ -32,16 +33,36 @@ MASS_SUM_TOL = 1e-9
 JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
 
 
-def number(value) -> float:
-    """``value`` as a float if it is a number, else TypeError.
+def number(value, error=None, what: str = "", high: float | None = None) -> float:
+    """``value`` as a float if it is a number, else TypeError, or OverflowError
+    for an int beyond float.  A number is a ``numbers.Real`` but not a bool.
 
-    A number is a ``numbers.Real`` but not a bool: int, float, Fraction and
-    numpy's integer and floating scalars.  An int beyond float raises OverflowError.
+    Given an ``error`` class, either refusal is ``error("<what>: <reason>")``,
+    and given ``high`` too, a value outside [0, high], NaN included, is
+    ``error("<what> <x> outside [0, <high>]")``: the one refusal rule.
     """
-    if type(value) in JSON_NUMBER_TYPES or (
-            isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
-    raise TypeError(f"{value!r} is not a number")
+    try:
+        if type(value) not in JSON_NUMBER_TYPES and (
+                not isinstance(value, numbers.Real) or isinstance(value, bool)):
+            raise TypeError(f"{value!r} is not a number")
+        x = float(value)
+    except (TypeError, OverflowError) as e:
+        if error is None:
+            raise
+        raise error(f"{what}: {e}") from None
+    if high is not None and not 0.0 <= x <= high:
+        raise error(f"{what} {x!r} outside [0, {high:g}]")
+    return x
+
+
+def number_text(text: str, kind: type = float) -> float | int:
+    """The number ``text`` spells, read by ``kind`` (float or int), else
+    ValueError: the one rule for number text, in a CSV row or on the command
+    line.  The text is ASCII without ``_``, which ``kind`` alone does not
+    ask, so ``1_0`` and Arabic-Indic digits are refused."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return kind(text)
 
 
 def count(value) -> int:
@@ -249,7 +270,7 @@ def validate_bpa(b: Bpa) -> Bpa:
     values = b.vector
     for bits in CANONICAL_ORDER:
         mass = values[bits]
-        if math.isnan(mass) or not 0.0 <= mass <= 1.0:
+        if not 0.0 <= mass <= 1.0:
             raise MassOutOfRange(f"mass {mass!r} on {SUBSETS[bits]} outside [0, 1]")
     empty_mass = b.mass(EMPTY_SET)
     if empty_mass != 0.0:

@@ -190,11 +190,10 @@ def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,
         lam = np.empty(len(d.ids))
         for j, indicator_id in enumerate(d.ids):
             try:
-                lam[j] = number(priors[indicator_id])
+                lam[j] = number(priors[indicator_id], DegeneratePriors,
+                                f"prior for {indicator_id}")
             except KeyError:
                 raise DegeneratePriors(f"no prior for {indicator_id}") from None
-            except (TypeError, OverflowError) as e:
-                raise DegeneratePriors(f"prior for {indicator_id}: {e}") from None
         adjusted_arr = adjust_weights(w, lam)
         lam_tuple = tuple(lam.tolist())
         adjusted = tuple(adjusted_arr.tolist())

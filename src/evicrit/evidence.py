@@ -182,10 +182,7 @@ def rank(values: Mapping[str, float], note: str = "") -> RankingReport:
         raise EmptyInput("nothing to rank")
     numeric = {}
     for identifier, value in values.items():
-        try:
-            numeric[identifier] = number(value)
-        except (TypeError, OverflowError) as e:
-            raise ValueError(f"cannot rank {identifier!r}: {e}") from None
+        numeric[identifier] = number(value, ValueError, f"cannot rank {identifier!r}")
         if math.isnan(numeric[identifier]):
             raise ValueError(f"cannot rank {identifier!r}: its value is NaN")
     ordered = sorted(numeric.items(), key=lambda kv: -kv[1])

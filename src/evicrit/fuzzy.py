@@ -3,8 +3,8 @@ construction of mass functions from memberships.
 
 Each grade peaks at 0, 2.5, 5, 7.5, or 10 and falls off linearly with
 slope 0.4, so at any score at most two adjacent grades are active and the
-memberships always sum to one.  Scores, discount factors and memberships
-are numbers by ``core.number``'s rule.
+memberships always sum to one.  A score is a number in [0, 10], and a
+discount factor or a membership one in [0, 1], by ``core.number``'s rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import FRAME, FULL_SET, SLOTS, Bpa, Label, number, unit_normalized
-from .errors import DiscountOutOfRange, EvicritError, ScoreOutOfRange
+from .errors import DiscountOutOfRange, ScoreOutOfRange
 
 SCORE_MAX = 10.0
 SLOPE = 0.4
@@ -28,23 +28,12 @@ OVERLAP_THETA = "theta"
 OVERLAP_MODES = (OVERLAP_ADJACENT, OVERLAP_THETA)
 
 
-def _checked(value, high: float, error: type[EvicritError], what: str) -> float:
-    """``value`` as a float in [0, ``high``], else ``error`` naming ``what``."""
-    try:
-        x = number(value)
-    except (TypeError, OverflowError) as e:
-        raise error(f"{what}: {e}") from None
-    if math.isnan(x) or not 0.0 <= x <= high:
-        raise error(f"{what} {x!r} outside [0, {high:g}]")
-    return x
-
-
 def check_score(x: float) -> float:
-    return _checked(x, SCORE_MAX, ScoreOutOfRange, "score")
+    return number(x, ScoreOutOfRange, "score", SCORE_MAX)
 
 
 def check_alpha(alpha: float) -> float:
-    return _checked(alpha, 1.0, DiscountOutOfRange, "discount factor")
+    return number(alpha, DiscountOutOfRange, "discount factor", 1.0)
 
 
 @dataclass(frozen=True)
@@ -60,13 +49,8 @@ class MembershipVector:
     def __post_init__(self):
         if len(self.values) != len(FRAME):
             raise ValueError(f"need {len(FRAME)} memberships, got {len(self.values)}")
-        try:
-            object.__setattr__(self, "values", tuple(map(number, self.values)))
-        except (TypeError, OverflowError) as e:
-            raise ValueError(f"membership: {e}") from None
-        for v in self.values:
-            if math.isnan(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"membership {v!r} outside [0, 1]")
+        object.__setattr__(self, "values", tuple(
+            number(v, ValueError, "membership", 1.0) for v in self.values))
         if abs(math.fsum(self.values) - 1.0) > 1e-12:
             raise ValueError(f"memberships sum to {math.fsum(self.values)!r}, not 1")
         active = [i for i, v in enumerate(self.values) if v > 0.0]

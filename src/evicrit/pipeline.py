@@ -1,5 +1,6 @@
-"""Pipeline orchestration: file ingestion, the three processing stages, and
-the run manifest.
+"""Pipeline orchestration: file ingestion, the eight stages of a run (ingest,
+aggregate, consistency, weighting, fuzzify, fuse, rank, emit), and the run
+manifest.
 
 The pipeline is deterministic end to end: identical input bytes and
 configuration produce byte-identical manifest files.
@@ -37,7 +38,15 @@ from .ahp import (
     consistency,
     pairwise_matrices,
 )
-from .core import JSON_NUMBER_TYPES, Bpa, bpa_from_dict, bpa_to_dict, count, number
+from .core import (
+    JSON_NUMBER_TYPES,
+    Bpa,
+    bpa_from_dict,
+    bpa_to_dict,
+    count,
+    number,
+    number_text,
+)
 from .entropy import DecisionMatrix, EntropyTable, build_table
 from .errors import (
     ConfigError,
@@ -180,7 +189,10 @@ def _read_text(path: str | Path, digests: dict | None) -> str:
     The SHA-256 of the bytes read goes into ``digests`` under ``path``
     unless ``digests`` is None.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as e:  # a NUL in the path, which no file name holds
+        raise OSError(str(e)) from None
     if digests is not None:
         digests[path] = hashlib.sha256(data).hexdigest()
     try:
@@ -224,7 +236,7 @@ def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
     if rows[:1] != [header] or not body or set(map(len, body)) != {len(header)}:
         return None
     *keys, indicators, numbers = zip(*body)
-    joined = "".join(numbers)
+    joined = "".join(numbers)  # core.number_text's rule, on all cells at once
     if ("_" in joined or not joined.isascii() or set(indicators) != set(ids)
             or len(set(zip(*keys, indicators))) != len(body)):
         return None
@@ -245,11 +257,11 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
     """(indicator, value) for each nonblank row after ``header`` of a CSV file.
 
     Each row has the header's width, an id from ``ids`` in its next-to-last
-    column and in its last a number (the row's ``what``; ASCII without ``_``,
-    which ``float`` alone does not ask) that ``parse`` checks as a float.  No
-    row repeats its key (all columns but the number), and the rows cover
-    ``ids``.  A file that breaks a rule on whole columns is walked row by
-    row, to name the line on which the first faulty row ends.
+    column and in its last a number (the row's ``what``) by the text rule of
+    ``core.number_text``, which ``parse`` checks as a float.  No row repeats
+    its key (all columns but the number), and the rows cover ``ids``.  A
+    file that breaks a rule on whole columns is walked row by row, to name
+    the line on which the first faulty row ends.
     """
     pairs = _csv_columns(text, header, ids, parse)
     if pairs is not None:
@@ -272,9 +284,7 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
             if key[-1] not in ids:
                 raise UnknownIndicator(f"unknown indicator {key[-1]!r}", line=line)
             try:
-                if "_" in cell or not cell.isascii():
-                    raise ValueError(cell)
-                value = parse(float(cell))
+                value = parse(number_text(cell))
             except ValueError:
                 raise ParseError(f"{what} {cell!r} is not a number", line=line) from None
             except EvicritError as e:

@@ -50,16 +50,17 @@ def _atomic_write(path: str | Path, data: str) -> Path:
     encoded = data.encode("utf-8")
     if _holds(path, encoded):
         return path
-    # a random name created exclusively, so concurrent writers never share
-    # it; unlike mkstemp's 0600 file it gets the mode the umask gives
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # a random name of fixed length created exclusively, so concurrent
+    # writers never share it and a target name of up to NAME_MAX bytes
+    # fits; unlike mkstemp's 0600 file it gets the mode the umask gives
+    tmp = path.with_name(f".{secrets.token_hex(8)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "xb") as f:
             f.write(encoded)
         os.replace(tmp, path)
-    except OSError as e:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        with contextlib.suppress(OSError, ValueError):
             tmp.unlink()
         raise IoError(f"cannot write {path}: {e}") from e
     return path
@@ -73,7 +74,7 @@ def _holds(path: Path, data: bytes) -> bool:
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a NUL in the path
         return False
     try:
         st = os.fstat(fd)

@@ -138,13 +138,14 @@ def test_loader_leaves_the_collector_as_it_found_it(tmp_path, loads, name,
         with pytest.raises(errors.ParseError):
             loader(bad, *args)
         assert gc.isenabled() is enabled
-        missing = bad.parent / "missing"
-        with pytest.raises(errors.IoError) as exc:
-            loader(missing, *args)
-        # the message names the file once, so the error carries no path
-        assert str(exc.value).startswith(f"cannot read {missing}: ")
-        assert exc.value.path is None
-        assert gc.isenabled() is enabled
+        # no file name holds a NUL, so that path fails as a missing file does
+        for path in (bad.parent / "missing", f"{bad.parent}/a\0b"):
+            with pytest.raises(errors.IoError) as exc:
+                loader(path, *args)
+            # the message names the file once, so the error carries no path
+            assert str(exc.value).startswith(f"cannot read {path}: ")
+            assert exc.value.path is None
+            assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("name", LOADERS)

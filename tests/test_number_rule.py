@@ -3,12 +3,15 @@ and one count rule for every whole count (``core.count``).
 
 Each entry point takes an int, a float and numpy's integer and floating
 scalars, with the same result as for the equal float, and refuses a str,
-bytes, a bool, numpy's bool and None with the error class it already uses.
+bytes, a bool, numpy's bool and None with the error class it already uses
+and the text of ``core.number``'s refusal rule.  Number text, in a CSV row
+or on the command line, follows ``core.number_text``.
 A count is an int or one of numpy's integer scalars, with the result of the
 equal int; a float, a bool, numpy's bool, a str and None are refused.
 """
 
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,7 +20,8 @@ import pytest
 
 from evicrit import errors
 from evicrit.ahp import PairwiseMatrix, consistency
-from evicrit.core import FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, count, number
+from evicrit.core import (FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, count, number,
+                          number_text)
 from evicrit.datasets import export_example_inputs
 from evicrit.entropy import DecisionMatrix, build_table
 from evicrit.evidence import rank
@@ -57,22 +61,29 @@ def _ri_file(tmp_path, v):
     return load_ri_table(path)
 
 
-# name: (call, error for a non-number, whether the value must be JSON)
+# name: (call, error for a non-number, whether the value must be JSON, the
+# refusal's text from the value and the reason core.number gives for it)
 ENTRY_POINTS = {
-    "config-alpha": (_validated, errors.ConfigError, False),
-    "check_alpha": (check_alpha, errors.DiscountOutOfRange, False),
-    "to_bpa": (lambda v: to_bpa(membership(6.25), alpha=v), errors.DiscountOutOfRange, False),
-    "check_score": (check_score, errors.ScoreOutOfRange, False),
-    "membership": (membership, errors.ScoreOutOfRange, False),
-    "consistency-ri": (lambda v: consistency(MATRIX, ri_table={3: v}), errors.MissingRI, False),
+    "config-alpha": (_validated, errors.ConfigError, False,
+                     "alpha: discount factor: {reason}"),
+    "check_alpha": (check_alpha, errors.DiscountOutOfRange, False,
+                    "discount factor: {reason}"),
+    "to_bpa": (lambda v: to_bpa(membership(6.25), alpha=v), errors.DiscountOutOfRange, False,
+               "discount factor: {reason}"),
+    "check_score": (check_score, errors.ScoreOutOfRange, False, "score: {reason}"),
+    "membership": (membership, errors.ScoreOutOfRange, False, "score: {reason}"),
+    "consistency-ri": (lambda v: consistency(MATRIX, ri_table={3: v}), errors.MissingRI, False,
+                       "random index for order 3: {reason}"),
     "build_table-prior": (lambda v: build_table(DECISION, priors={"a": v, "b": 0.5, "c": 0.25}),
-                          errors.DegeneratePriors, False),
-    "bpa-mapping": (lambda v: Bpa({H: v, FULL_SET: 0.25}).vector, TypeError, False),
-    "bpa-slots": (_bpa_slots, TypeError, False),
-    "bpa_from_dict": (_bpa_fixture, errors.ParseError, False),
-    "load_ri_table": (_ri_file, errors.ParseError, True),
-    "MembershipVector": (_membership_vector, ValueError, False),
-    "rank": (lambda v: rank({"a": v, "b": 0.5}).entries, ValueError, False),
+                          errors.DegeneratePriors, False, "prior for a: {reason}"),
+    "bpa-mapping": (lambda v: Bpa({H: v, FULL_SET: 0.25}).vector, TypeError, False, "{reason}"),
+    "bpa-slots": (_bpa_slots, TypeError, False, "{reason}"),
+    "bpa_from_dict": (_bpa_fixture, errors.ParseError, False,
+                      'masses[0] needs "subset" and numeric "mass"'),
+    "load_ri_table": (_ri_file, errors.ParseError, True, "{path}: bad RI entry '3': {value!r}"),
+    "MembershipVector": (_membership_vector, ValueError, False, "membership: {reason}"),
+    "rank": (lambda v: rank({"a": v, "b": 0.5}).entries, ValueError, False,
+             "cannot rank 'a': {reason}"),
 }
 NUMBERS = {"int": 1, "float": 0.75, "float64": np.float64(0.75),
            "float32": np.float32(0.75), "int64": np.int64(1)}
@@ -85,7 +96,7 @@ def _json_safe(value):
 
 def _cases(values):
     return [pytest.param(entry, value, id=f"{entry}-{kind}")
-            for entry, (_, _, json_only) in ENTRY_POINTS.items()
+            for entry, (_, _, json_only, _) in ENTRY_POINTS.items()
             for kind, value in values.items()
             if not json_only or _json_safe(value)]
 
@@ -107,6 +118,71 @@ def test_entry_points_take_numbers_as_the_equal_float(tmp_path, entry, value):
 def test_entry_points_refuse_what_is_not_a_number(tmp_path, entry, value):
     with pytest.raises(ENTRY_POINTS[entry][1]):
         _call(entry, value, tmp_path)
+
+
+#: an int beyond float
+BIG = 10**400
+# name: (a value outside the entry point's range, its error, its text)
+OUT_OF_RANGE = {
+    "config-alpha": (-1, errors.ConfigError, "alpha: discount factor -1.0 outside [0, 1]"),
+    "check_alpha": (np.float64(1.5), errors.DiscountOutOfRange,
+                    "discount factor 1.5 outside [0, 1]"),
+    "to_bpa": (math.nan, errors.DiscountOutOfRange, "discount factor nan outside [0, 1]"),
+    "check_score": (11, errors.ScoreOutOfRange, "score 11.0 outside [0, 10]"),
+    "membership": (math.inf, errors.ScoreOutOfRange, "score inf outside [0, 10]"),
+    "consistency-ri": (-1, errors.MissingRI,
+                       "random index for order 3 must be positive and finite, got -1.0"),
+    "build_table-prior": (math.nan, errors.DegeneratePriors,
+                          "priors must be nonnegative finite reals"),
+    "bpa_from_dict": (11, errors.MassOutOfRange, "mass 11.0 on {H} outside [0, 1]"),
+    "load_ri_table": (-1, errors.ParseError, "{path}: bad RI entry '3': -1"),
+    "MembershipVector": (-1, ValueError, "membership -1.0 outside [0, 1]"),
+    "rank": (math.nan, ValueError, "cannot rank 'a': its value is NaN"),
+}
+
+
+@pytest.mark.parametrize("entry, value", _cases({**NOT_NUMBERS, "big-int": BIG}))
+def test_refusals_name_the_value_and_the_reason(tmp_path, entry, value):
+    _, error, _, text = ENTRY_POINTS[entry]
+    reason = f"{value!r} is not a number"
+    if value is BIG:
+        reason = "int too large to convert to float"
+        if error is TypeError:  # a Bpa has no error class of its own
+            error = OverflowError
+    with pytest.raises(error) as e:
+        _call(entry, value, tmp_path)
+    assert type(e.value) is error
+    assert str(e.value) == text.format(value=value, reason=reason, path=tmp_path / "ri.json")
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE)
+def test_out_of_range_refusals(tmp_path, entry):
+    value, error, text = OUT_OF_RANGE[entry]
+    with pytest.raises(error) as e:
+        _call(entry, value, tmp_path)
+    assert type(e.value) is error
+    assert str(e.value) == text.replace("{path}", str(tmp_path / "ri.json"))
+
+
+@pytest.mark.parametrize("text, kind, want", [
+    (" 0.8", float, 0.8), ("1e-1", float, 0.1), ("nan", float, math.nan), ("+2 ", int, 2)])
+def test_number_text_reads_what_float_and_int_read(text, kind, want):
+    got = number_text(text, kind)
+    assert type(got) is kind and (got == want or math.isnan(want) and math.isnan(got))
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("0_8", float), ("\u0665", float), ("1_0", int), ("\u0664", int), ("4.0", int), ("", float)])
+def test_number_text_refuses_what_the_files_refuse(text, kind):
+    with pytest.raises(ValueError):
+        number_text(text, kind)
+
+
+def test_membership_vector_names_the_first_fault_in_grade_order():
+    with pytest.raises(ValueError, match=r"^membership 2\.0 outside \[0, 1\]$"):
+        MembershipVector((2.0, "x", 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^membership: 'x' is not a number$"):
+        MembershipVector(("x", 2.0, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("value", [

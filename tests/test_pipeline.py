@@ -227,6 +227,19 @@ def test_missing_file_is_io_error():
         ingest_scores("/nonexistent/scores.csv", CATALOG_IDS)
 
 
+def test_run_pipeline_with_a_nul_path_is_an_io_error(inputs, tmp_path):
+    with pytest.raises(errors.IoError) as exc:
+        run_example(inputs, scores="a\0b.csv")
+    assert exc.value.stage == "ingest"
+    assert str(exc.value) == "cannot read a\0b.csv: embedded null byte"
+    out = tmp_path / "a\0b"
+    with pytest.raises(errors.IoError) as exc:
+        run_example(inputs, out_dir=out)
+    assert exc.value.stage == "emit"
+    assert str(exc.value) == f"cannot write {out / 'report.txt'}: embedded null byte"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs"]
+
+
 def test_ingest_scores_rejects_duplicate_row(tmp_path, inputs):
     text = inputs["scores.csv"].read_text()
     first_row = text.splitlines()[1]
@@ -643,6 +656,32 @@ def test_writes_use_unique_temp_files(inputs, tmp_path, capsys):
         "manifest.json", "manifest.json.tmp", "report.txt"]
 
 
+def test_write_to_a_path_with_a_nul_is_an_io_error(tmp_path):
+    # the temporary file is made, and removed when the rename fails
+    path = tmp_path / "a\0b.txt"
+    with pytest.raises(errors.IoError) as exc:
+        _atomic_write(path, "x")
+    assert str(exc.value) == f"cannot write {path}: embedded null byte"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("via", ["write", "weights-out"])
+def test_writes_take_a_name_of_up_to_name_max_bytes(inputs, tmp_path, capsys, via):
+    path = tmp_path / "out" / ("a" * 246 + ".csv")  # 250 bytes
+    if via == "write":
+        _atomic_write(path, "data\n")
+        assert path.read_text() == "data\n"
+    else:
+        argv = ["weights", "--matrices", str(inputs["matrices.json"]),
+                "--priors", str(inputs["priors.csv"])]
+        assert cli.run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert cli.run([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == stdout
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 def test_failed_report_write_leaves_no_manifest(inputs, tmp_path, capsys):
     out = tmp_path / "out"
     (out / "report.txt").mkdir(parents=True)
@@ -829,6 +868,38 @@ def test_cli_evaluate_bad_flag_exits_1(inputs, capsys):
     code = cli.run(["evaluate", *cli_inputs(inputs), "--alpha", "2.0"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--alpha", "0_8"), ("--alpha", "٠.٨"), ("--alpha", "abc"),
+    ("--window", "٤"), ("--window", "4_0"), ("--window", "4.0"),
+    ("--stride", "٢"), ("--stride", "1_0")])
+def test_cli_numbers_follow_the_file_text_rule(inputs, capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["evaluate", *cli_inputs(inputs), flag, text])
+    assert exc.value.code == 1
+    kind = "float" if flag == "--alpha" else "int"
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid {kind} value: {text!r}\n")
+
+
+@pytest.mark.parametrize("alpha", [" 0.8", "0.8 ", "8e-1", "1e-1", "+0.8"])
+def test_cli_reads_the_number_text_that_float_and_int_read(inputs, capsys, alpha):
+    assert cli.run(["evaluate", *cli_inputs(inputs), "--alpha", alpha,
+                    "--window", " 4", "--stride", "+2"]) == 0
+    assert "top=B8" in capsys.readouterr().out
+
+
+def test_cli_evaluate_without_priors(inputs, tmp_path, capsys):
+    args = cli_inputs(inputs)
+    del args[4:6]  # --priors and its path
+    assert cli.run(["evaluate", *args, "--out-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "rank by weight: top=B8 bottom=B10" in out
+    assert "adjusted" not in out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert sorted(manifest["rankings"]) == ["fused_belief", "weight"]
+    assert "priors" not in manifest["inputs"]
 
 
 def test_cli_usage_error_exits_1(capsys):
