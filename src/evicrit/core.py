@@ -65,12 +65,15 @@ def number_text(text: str, kind: type = float) -> float | int:
     return kind(text)
 
 
-def count(value) -> int:
+def count(value, error=None, what: str = "") -> int:
     """``value`` as an int if it is a count, else TypeError: a count is a
-    ``numbers.Integral`` but not a bool (int and numpy's integer scalars)."""
+    ``numbers.Integral`` but not a bool (int and numpy's integer scalars).
+    Given an ``error`` class, the refusal is ``error("<what>: <value!r> is
+    not an integer")``, as ``number`` refuses."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return operator.index(value)
-    raise TypeError(f"{value!r} is not an integer")
+    reason = f"{value!r} is not an integer"
+    raise TypeError(reason) if error is None else error(f"{what}: {reason}")
 
 
 class Label(IntEnum):

@@ -3,7 +3,8 @@
 Column entropies are scaled by 1/ln(m) so they land in [0, 1]; divergence
 d = 1 - E measures how much a criterion discriminates, and weights are
 divergences normalized to unit sum.  Prior (subjective) weights can be
-blended in multiplicatively.
+blended in multiplicatively.  The weighting table's columns have one
+definition, ``EntropyTable.COLUMNS`` with ``EntropyTable.columns()``.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def adjust_weights(w: np.ndarray, priors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntropyTable:
-    """Per-indicator entropy, divergence, weight, and (optional) adjusted weight."""
+    """Per-indicator entropy, divergence, weight, and (optional) adjusted weight;
+    ``columns()`` is the one column model behind every output of the table."""
 
     ids: tuple[str, ...]
     entropy: tuple[float, ...]
@@ -128,49 +130,40 @@ class EntropyTable:
     priors: tuple[float, ...] | None = None
     adjusted: tuple[float, ...] | None = None
 
-    CSV_HEADER = ("indicator", "E", "d", "W", "lambda", "W_adj")
+    COLUMNS = ("E", "d", "W", "lambda", "W_adj")
+
+    def columns(self) -> dict[str, tuple[float, ...] | None]:
+        """Each of ``COLUMNS`` with its values; lambda and W_adj are None without priors."""
+        return dict(zip(self.COLUMNS, (self.entropy, self.div, self.weights,
+                                       self.priors, self.adjusted)))
 
     def rows(self) -> list[dict]:
-        out = []
-        for j, indicator_id in enumerate(self.ids):
-            out.append({
-                "indicator": indicator_id,
-                "E": self.entropy[j],
-                "d": self.div[j],
-                "W": self.weights[j],
-                "lambda": None if self.priors is None else self.priors[j],
-                "W_adj": None if self.adjusted is None else self.adjusted[j],
-            })
-        return out
+        columns = self.columns().items()
+        return [{"indicator": indicator_id,
+                 **{name: None if values is None else values[j] for name, values in columns}}
+                for j, indicator_id in enumerate(self.ids)]
 
     def to_csv(self) -> str:
         from .report import csv_text  # on first use: `import evicrit` skips report
 
-        return csv_text(self.CSV_HEADER, ((
-            row["indicator"],
-            repr(row["E"]), repr(row["d"]), repr(row["W"]),
-            "" if row["lambda"] is None else repr(row["lambda"]),
-            "" if row["W_adj"] is None else repr(row["W_adj"]),
-        ) for row in self.rows()))
+        columns = self.columns().values()
+        return csv_text(("indicator", *self.COLUMNS), ((
+            indicator_id, *("" if values is None else repr(values[j]) for values in columns),
+        ) for j, indicator_id in enumerate(self.ids)))
 
     @classmethod
     def from_csv(cls, text: str) -> "EntropyTable":
+        """The table ``to_csv`` wrote: E, d and W need a value in every row,
+        lambda and W_adj in every row or none (then they read as None)."""
         reader = csv.reader(io.StringIO(text))
         header = tuple(next(reader))
-        if header != cls.CSV_HEADER:
+        if header != ("indicator", *cls.COLUMNS):
             raise ValueError(f"unexpected header {header}")
-        ids, e, d, w, lam, adj = [], [], [], [], [], []
-        for row in reader:
-            ids.append(row[0])
-            e.append(float(row[1]))
-            d.append(float(row[2]))
-            w.append(float(row[3]))
-            lam.append(float(row[4]) if row[4] else None)
-            adj.append(float(row[5]) if row[5] else None)
-        has_priors = any(v is not None for v in lam)
-        return cls(ids=tuple(ids), entropy=tuple(e), div=tuple(d), weights=tuple(w),
-                   priors=tuple(lam) if has_priors else None,
-                   adjusted=tuple(adj) if has_priors else None)
+        # with the header in the strict zip, a row that lacks a cell is refused
+        (_, *ids), *cells = zip(header, *(row[:len(header)] for row in reader), strict=True)
+        # the columns after W may be empty; float("") refuses a partly filled one
+        return cls(tuple(ids), *(None if j >= 3 and not any(values) else tuple(map(float, values))
+                                 for j, (_, *values) in enumerate(cells)))
 
 
 def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,

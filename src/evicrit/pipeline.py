@@ -64,7 +64,6 @@ from .evidence import CombinationResult, average_bpas, murphy_combine, pignistic
 from .fuzzy import (
     OVERLAP_ADJACENT,
     OVERLAP_MODES,
-    check_alpha,
     check_score,
     membership,
     rating_label,
@@ -96,10 +95,7 @@ class PipelineConfig:
     chart: str | Path | None = None
 
     def validated(self) -> "PipelineConfig":
-        try:
-            check_alpha(self.alpha)
-        except EvicritError as e:
-            raise ConfigError(f"alpha: {e}") from None
+        number(self.alpha, ConfigError, "alpha: discount factor", 1.0)
         if self.overlap_mode not in OVERLAP_MODES:
             raise ConfigError(f"overlap_mode must be one of {OVERLAP_MODES}, "
                               f"got {self.overlap_mode!r}")
@@ -110,7 +106,7 @@ class PipelineConfig:
             raise ConfigError(f"format must be one of {REPORT_FORMATS}, "
                               f"got {self.fmt!r}")
         for name in ("window", "stride"):
-            value = _counted(name, getattr(self, name))
+            value = count(getattr(self, name), ConfigError, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if not isinstance(self.force, bool):
@@ -125,14 +121,6 @@ class PipelineConfig:
         return self
 
 
-def _counted(name: str, value) -> int:
-    """``value`` by ``core.count``'s rule, else ConfigError naming ``name``."""
-    try:
-        return count(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ...], ...]:
     """Sliding index windows over ``ids``: starts 0, stride, 2*stride, ...
 
@@ -140,7 +128,7 @@ def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ..
     the id list is a configuration error.
     """
     n = len(ids)
-    window, stride = _counted("window", window), _counted("stride", stride)
+    window, stride = count(window, ConfigError, "window"), count(stride, ConfigError, "stride")
     if window < 1 or window > n:
         raise ConfigError(f"window must be in 1..{n}, got {window}")
     if stride < 1:
@@ -443,9 +431,10 @@ def load_ri_table(path: str | Path, *, digests: dict | None = None
         raise ParseError("RI table must be a JSON object")
     table = dict(DEFAULT_RI)
     for key, value in doc.items():
+        ri = number(value, ParseError, f"bad RI entry {key!r}")
         try:
-            order, ri = int(key), number(value)
-        except (TypeError, ValueError, OverflowError):
+            order = int(key)
+        except ValueError:
             raise ParseError(f"bad RI entry {key!r}: {value!r}") from None
         # one spelling per order: ASCII digits with no leading zero
         if (not key.isascii() or not key.isdigit() or key.startswith("0")

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset
 from .datasets import reference_ratings
+from .entropy import EntropyTable
 from .errors import IoError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,8 +42,8 @@ FUSION_COLUMNS: tuple[tuple[str, Subset], ...] = (
     ("theta", FULL_SET),
 )
 
-_CHART_SERIES = ("E", "d", "W", "lambda", "W_adj")
-_CHART_COLORS = ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")
+_CHART_COLORS = dict(zip(EntropyTable.COLUMNS,
+                         ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")))
 
 
 def _atomic_write(path: str | Path, data: str) -> Path:
@@ -188,6 +189,11 @@ def _fusion_row_values(b: Bpa) -> list[float]:
 
 # --- text rendering -----------------------------------------------------------
 
+def _present_columns(table: EntropyTable) -> dict[str, tuple[float, ...]]:
+    """The table's columns that have values: no lambda and W_adj without priors."""
+    return {name: values for name, values in table.columns().items() if values is not None}
+
+
 def _render_text(manifest: "RunManifest") -> str:
     out = io.StringIO()
     rep = manifest.consistency_report
@@ -198,18 +204,11 @@ def _render_text(manifest: "RunManifest") -> str:
               f"acceptable={'yes' if rep.acceptable else 'NO'}\n\n")
 
     table = manifest.entropy_table
+    columns = _present_columns(table)
     out.write("Weighting\n")
-    has_priors = table.priors is not None
-    header = f"  {'indicator':<10}{'E':>9}{'d':>9}{'W':>9}"
-    if has_priors:
-        header += f"{'lambda':>9}{'W_adj':>9}"
-    out.write(header + "\n")
-    for j, indicator_id in enumerate(table.ids):
-        line = (f"  {indicator_id:<10}{table.entropy[j]:>9.4f}"
-                f"{table.div[j]:>9.4f}{table.weights[j]:>9.4f}")
-        if has_priors:
-            line += f"{table.priors[j]:>9.4f}{table.adjusted[j]:>9.4f}"
-        out.write(line + "\n")
+    out.write(f"  {'indicator':<10}" + "".join(f"{name:>9}" for name in columns) + "\n")
+    for indicator_id, *values in zip(table.ids, *columns.values()):
+        out.write(f"  {indicator_id:<10}" + "".join(f"{v:>9.4f}" for v in values) + "\n")
     out.write("\n")
 
     out.write("Ratings\n")
@@ -307,29 +306,19 @@ def emit_report(manifest: "RunManifest", fmt: str, out_dir: str | Path) -> list[
 # --- chart ------------------------------------------------------------------------
 
 def emit_chart(manifest: "RunManifest", path: str | Path) -> Path:
-    """Grouped bar chart of E, d, W, lambda, W_adj per indicator (SVG).
-
-    One group per indicator, five bars per group (14 x 5 = 70 bars for the
-    bundled catalog); missing prior columns render as zero-height bars.
-    Output bytes depend only on the manifest.
-    """
+    """Grouped bar chart of the weighting table, one group per indicator (SVG):
+    one bar per column that has values, 14 x 5 = 70 bars for the bundled
+    catalog with priors and 14 x 3 without.  Output bytes depend only on the manifest."""
     table = manifest.entropy_table
-    n = len(table.ids)
-    series = [
-        list(table.entropy),
-        list(table.div),
-        list(table.weights),
-        list(table.priors) if table.priors is not None else [0.0] * n,
-        list(table.adjusted) if table.adjusted is not None else [0.0] * n,
-    ]
-    top = max(1.0, max(max(values) for values in series))
+    series = _present_columns(table)
+    top = max(1.0, max(max(values) for values in series.values()))
 
     bar_w = 7.0
     group_gap = 10.0
     group_w = bar_w * len(series) + group_gap
     x0, y0 = 50.0, 16.0
     plot_h = 240.0
-    plot_w = group_w * n
+    plot_w = group_w * len(table.ids)
     width = x0 + plot_w + 12.0
     height = y0 + plot_h + 56.0
     baseline = y0 + plot_h
@@ -353,7 +342,7 @@ def emit_chart(manifest: "RunManifest", path: str | Path) -> Path:
                      f'text-anchor="end">{value:.2f}</text>')
     for g, indicator_id in enumerate(table.ids):
         gx = x0 + g * group_w + group_gap / 2.0
-        for s, values in enumerate(series):
+        for s, (name, values) in enumerate(series.items()):
             value = values[g]
             h = (value / top) * plot_h
             bx = gx + s * bar_w
@@ -361,17 +350,17 @@ def emit_chart(manifest: "RunManifest", path: str | Path) -> Path:
             parts.append(
                 f'<rect class="bar" x="{bx:.2f}" y="{by:.2f}" '
                 f'width="{bar_w:.2f}" height="{h:.2f}" '
-                f'fill="{_CHART_COLORS[s]}">'
-                f'<title>{indicator_id} {_CHART_SERIES[s]}={value:.6g}</title>'
+                f'fill="{_CHART_COLORS[name]}">'
+                f'<title>{indicator_id} {name}={value:.6g}</title>'
                 f'</rect>')
         parts.append(f'<text x="{gx + bar_w * len(series) / 2.0:.2f}" '
                      f'y="{baseline + 12:.2f}" text-anchor="middle">'
                      f'{indicator_id}</text>')
     legend_y = baseline + 30.0
-    for s, name in enumerate(_CHART_SERIES):
+    for s, name in enumerate(series):
         lx = x0 + s * 70.0
         parts.append(f'<rect class="key" x="{lx:.2f}" y="{legend_y:.2f}" '
-                     f'width="10" height="10" fill="{_CHART_COLORS[s]}"/>')
+                     f'width="10" height="10" fill="{_CHART_COLORS[name]}"/>')
         parts.append(f'<text x="{lx + 14:.2f}" y="{legend_y + 9:.2f}">{name}</text>')
     parts.append("</svg>")
     return _atomic_write(path, "\n".join(parts) + "\n")

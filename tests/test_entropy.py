@@ -140,6 +140,33 @@ def test_build_table_priors_optional():
     assert table.to_csv().splitlines()[0] == "indicator,E,d,W,lambda,W_adj"
 
 
+def test_csv_round_trip_without_priors():
+    table = build_table(dm([[2.0, 1.0, 4.0], [6.0, 3.0, 4.0]], ids=["a", "b", "c"]))
+    back = EntropyTable.from_csv(table.to_csv())
+    assert back == table
+    assert back.priors is None and back.adjusted is None
+
+
+def test_from_csv_refuses_a_partly_filled_prior_column():
+    text = "indicator,E,d,W,lambda,W_adj\na,0.5,0.5,0.5,0.4,0.5\nb,0.5,0.5,0.5,,0.5\n"
+    with pytest.raises(ValueError):
+        EntropyTable.from_csv(text)
+
+
+def test_from_csv_reads_a_header_only_table_as_empty():
+    assert EntropyTable.from_csv("indicator,E,d,W,lambda,W_adj\n") == EntropyTable(
+        ids=(), entropy=(), div=(), weights=(), priors=None, adjusted=None)
+
+
+def test_rows_follow_the_columns_and_keep_null_prior_columns():
+    table = build_table(dm([[2.0, 1.0], [6.0, 3.0]], ids=["a", "b"]))
+    rows = table.rows()
+    assert [list(row) for row in rows] == [["indicator", *EntropyTable.COLUMNS]] * 2
+    assert list(EntropyTable.COLUMNS) == ["E", "d", "W", "lambda", "W_adj"]
+    assert [(row["lambda"], row["W_adj"]) for row in rows] == [(None, None)] * 2
+    assert [row["W"] for row in rows] == list(table.weights)
+
+
 def test_build_table_missing_prior_id():
     d = dm([[2.0, 1.0], [6.0, 3.0]], ids=["a", "b"])
     with pytest.raises(errors.DegeneratePriors) as exc:

@@ -80,7 +80,7 @@ ENTRY_POINTS = {
     "bpa-slots": (_bpa_slots, TypeError, False, "{reason}"),
     "bpa_from_dict": (_bpa_fixture, errors.ParseError, False,
                       'masses[0] needs "subset" and numeric "mass"'),
-    "load_ri_table": (_ri_file, errors.ParseError, True, "{path}: bad RI entry '3': {value!r}"),
+    "load_ri_table": (_ri_file, errors.ParseError, True, "{path}: bad RI entry '3': {reason}"),
     "MembershipVector": (_membership_vector, ValueError, False, "membership: {reason}"),
     "rank": (lambda v: rank({"a": v, "b": 0.5}).entries, ValueError, False,
              "cannot rank 'a': {reason}"),
@@ -200,12 +200,23 @@ def test_number_refuses_the_rest(value):
         number(value)
 
 
-# name: call of a count; each refuses a non-count with ConfigError
+def test_an_ri_key_past_ints_digit_limit_is_a_parse_error(tmp_path):
+    # int() refuses a str of more than 4,300 digits with ValueError
+    key = "1" * 5000
+    path = tmp_path / "ri.json"
+    path.write_text(json.dumps({key: 0.5}))
+    with pytest.raises(errors.ParseError) as e:
+        load_ri_table(path)
+    assert str(e.value) == f"{path}: bad RI entry {key!r}: 0.5"
+
+
+# name: (call of a count, the name its ConfigError gives); each refuses a
+# non-count with ConfigError("<name>: <value!r> is not an integer")
 COUNT_ENTRY_POINTS = {
-    "config-window": lambda v: _validated(v, "window"),
-    "config-stride": lambda v: _validated(v, "stride"),
-    "windows-window": lambda v: windows("abcd", v, 1),
-    "windows-stride": lambda v: windows("abcd", 1, v),
+    "config-window": (lambda v: _validated(v, "window"), "window"),
+    "config-stride": (lambda v: _validated(v, "stride"), "stride"),
+    "windows-window": (lambda v: windows("abcd", v, 1), "window"),
+    "windows-stride": (lambda v: windows("abcd", 1, v), "stride"),
 }
 COUNTS = {"int": 2, "int64": np.int64(2), "uint8": np.uint8(2)}
 NOT_COUNTS = {"float": 2.0, "float64": np.float64(2.0), "bool": True, "np-bool": np.True_,
@@ -219,15 +230,19 @@ def _count_cases(values):
 
 @pytest.mark.parametrize("entry, value", _count_cases(COUNTS))
 def test_entry_points_take_counts_as_the_equal_int(entry, value):
-    assert COUNT_ENTRY_POINTS[entry](value) == COUNT_ENTRY_POINTS[entry](int(value))
+    call, _ = COUNT_ENTRY_POINTS[entry]
+    assert call(value) == call(int(value))
     assert type(count(value)) is int and count(value) == value
 
 
 @pytest.mark.parametrize("entry, value", _count_cases(NOT_COUNTS))
 def test_entry_points_refuse_what_is_not_a_count(entry, value):
-    with pytest.raises(errors.ConfigError):
-        COUNT_ENTRY_POINTS[entry](value)
-    with pytest.raises(TypeError):
+    call, name = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(errors.ConfigError) as e:
+        call(value)
+    assert type(e.value) is errors.ConfigError
+    assert str(e.value) == f"{name}: {value!r} is not an integer"
+    with pytest.raises(TypeError, match=r" is not an integer$"):
         count(value)
 
 

@@ -538,6 +538,20 @@ def test_example_report_and_chart_are_pinned(inputs, tmp_path):
         "weights.svg": "651f385dc6eae2fd09afcfbece207e1ecc0bbe17bde0c2df3d7329c6e414410a"}
 
 
+def test_chart_without_priors_draws_only_the_columns_it_has(inputs, tmp_path):
+    # E, d and W per indicator: no zero-height lambda and W_adj bars, no key for them
+    chart = tmp_path / "weights.svg"
+    assert cli.run(["evaluate", "--scores", str(inputs["scores.csv"]),
+                    "--matrices", str(inputs["matrices.json"]),
+                    "--ri-table", str(inputs["ri.json"]), "--chart", str(chart)]) == 0
+    svg = chart.read_text()
+    assert svg.count('class="bar"') == 14 * 3
+    keys = [part.split("</text>")[0].rsplit(">", 1)[1]
+            for part in svg.split('class="key"')[1:]]
+    assert keys == ["E", "d", "W"]
+    assert "lambda=" not in svg and "W_adj=" not in svg
+
+
 def ratings_rows(report_text):
     """(id, description) of each row of a text report's Ratings table."""
     block = report_text.split("Ratings\n", 1)[1].split("\n\n", 1)[0]
