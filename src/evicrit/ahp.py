@@ -165,14 +165,30 @@ class ConsistencyReport:
         return asdict(self)
 
 
-def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
-    """Entrywise geometric mean of expert matrices.
+def _log_product(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Cellwise log of the product of ``arrays``; see aggregate_geometric."""
+    product = arrays[0].copy()
+    with np.errstate(over="ignore", under="ignore"):
+        for a in arrays[1:]:
+            product *= a
+    if np.isfinite(product).all():
+        return np.log(product, out=product)
+    half = len(arrays) // 2
+    return _log_product(arrays[:half]) + _log_product(arrays[half:])
 
-    Each cell is exp of the mean of the experts' logs: the logs are summed
-    in list order, then divided once by the number of experts.  The mean
-    of reciprocal matrices is reciprocal (Aczel & Saaty 1983); the diagonal
-    is set to 1 and the lower triangle to 1 / the upper one, so the result
-    is reciprocal to the last bit.  The input matrices are not modified.
+
+def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
+    """Entrywise geometric mean of expert matrices: exp(log(P) / k).
+
+    P is the product of the k experts' cells in list order, one log per
+    cell; where P leaves the float range, the list is split in halves whose
+    logs are added.  One finite check suffices: as the matrices are
+    reciprocal to 1e-9, a running product falls over two bits below the
+    normal range only when its mirror's overflows to inf, which stays inf.
+    P is within k - 1 rounding units of the exact product (Higham 2002): the
+    result is within 3 ulps of a 40-digit mean in the tests, 4 with a split.
+    The lower triangle is set to 1 / the upper one (the mean is reciprocal,
+    Aczel & Saaty 1983) and the diagonal to 1.  Inputs are not modified.
     """
     if len(matrices) == 0:
         raise EmptyInput("need at least one matrix to aggregate")
@@ -180,10 +196,7 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     for pos, m in enumerate(matrices):
         if m.order != n:
             raise OrderMismatch(f"matrix {pos} has order {m.order}, expected {n}")
-    total = np.log(matrices[0].values)
-    scratch = np.empty_like(total)
-    for m in matrices[1:]:
-        total += np.log(m.values, out=scratch)
+    total = _log_product([m.values for m in matrices])
     total /= len(matrices)
     mean = np.exp(total, out=total)
     # only the kept reciprocals are computed, so none can overflow unseen

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -36,15 +37,15 @@ JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
 def number(value, error=None, what: str = "", high: float | None = None) -> float:
     """``value`` as a float if it is a number, else TypeError, or OverflowError
     for an int beyond float.  A number is a ``numbers.Real`` but not a bool.
-
     Given an ``error`` class, either refusal is ``error("<what>: <reason>")``,
-    and given ``high`` too, a value outside [0, high], NaN included, is
-    ``error("<what> <x> outside [0, <high>]")``: the one refusal rule.
+    which echoes the value bounded by ``reprlib.repr``.  Given ``high`` too,
+    a value outside [0, high], NaN included, is ``error("<what> <x> outside
+    [0, <high>]")``: the one refusal rule.
     """
     try:
         if type(value) not in JSON_NUMBER_TYPES and (
                 not isinstance(value, numbers.Real) or isinstance(value, bool)):
-            raise TypeError(f"{value!r} is not a number")
+            raise TypeError(f"{reprlib.repr(value)} is not a number")
         x = float(value)
     except (TypeError, OverflowError) as e:
         if error is None:
@@ -68,11 +69,11 @@ def number_text(text: str, kind: type = float) -> float | int:
 def count(value, error=None, what: str = "") -> int:
     """``value`` as an int if it is a count, else TypeError: a count is a
     ``numbers.Integral`` but not a bool (int and numpy's integer scalars).
-    Given an ``error`` class, the refusal is ``error("<what>: <value!r> is
-    not an integer")``, as ``number`` refuses."""
+    Given an ``error`` class, the refusal is ``error("<what>: <value> is not
+    an integer")``, the value bounded by ``reprlib.repr`` as ``number`` does."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return operator.index(value)
-    reason = f"{value!r} is not an integer"
+    reason = f"{reprlib.repr(value)} is not an integer"
     raise TypeError(reason) if error is None else error(f"{what}: {reason}")
 
 

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -431,15 +432,15 @@ def load_ri_table(path: str | Path, *, digests: dict | None = None
         raise ParseError("RI table must be a JSON object")
     table = dict(DEFAULT_RI)
     for key, value in doc.items():
-        ri = number(value, ParseError, f"bad RI entry {key!r}")
+        ri = number(value, ParseError, f"bad RI entry {reprlib.repr(key)}")
         try:
             order = int(key)
-        except ValueError:
-            raise ParseError(f"bad RI entry {key!r}: {value!r}") from None
+        except ValueError:  # not an int, or past int()'s digit limit
+            order = None
         # one spelling per order: ASCII digits with no leading zero
-        if (not key.isascii() or not key.isdigit() or key.startswith("0")
+        if (order is None or not key.isascii() or not key.isdigit() or key.startswith("0")
                 or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2))):
-            raise ParseError(f"bad RI entry {key!r}: {value!r}")
+            raise ParseError(f"bad RI entry {reprlib.repr(key)}: {reprlib.repr(value)}")
         table[order] = ri
     return table
 

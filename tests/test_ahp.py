@@ -1,3 +1,5 @@
+import decimal
+import json
 import math
 import warnings
 
@@ -17,6 +19,7 @@ from evicrit.ahp import (
     pairwise_matrices,
     principal_eigenvalue,
 )
+from evicrit.datasets import example_input_text
 from evicrit.entropy import DecisionMatrix
 from evicrit.selftest import charpoly_lambda_max, consistent_matrix, random_reciprocal
 
@@ -246,10 +249,11 @@ def test_aggregate_geometric_mean_of_two():
 
 
 def reference_aggregate(matrices):
-    """The former aggregation: log, mean, exp, then a loop over the lower
-    triangle."""
+    """The product reference: one product over the stack, one log, / k, exp,
+    then a loop over the lower triangle.  numpy reduces axis 0 in list
+    order, one multiply per expert, as the aggregate's running product."""
     stack = np.stack([m.values for m in matrices])
-    mean = np.exp(np.log(stack).mean(axis=0))
+    mean = np.exp(np.log(np.prod(stack, axis=0)) / len(matrices))
     n = mean.shape[0]
     for i in range(n):
         mean[i, i] = 1.0
@@ -258,15 +262,25 @@ def reference_aggregate(matrices):
     return mean
 
 
+def assert_reciprocal_and_untouched(panel, before, v):
+    upper = np.triu_indices(len(v), 1)
+    assert np.array_equal(v.T[upper], 1.0 / v[upper])
+    assert np.all(np.diag(v) == 1.0)
+    assert [m.values.tobytes() for m in panel] == before
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (14, 2), (14, 256), (200, 8),
                                  (2, 1000), (3, 257)])
 def test_aggregate_geometric_matches_the_loop_reference_bit_for_bit(n, k):
     rng = np.random.default_rng([n, k])
     judgments = [random_reciprocal(rng, n).values for _ in range(k)]
     upper = np.triu_indices(n, 1)
-    # at scale 1e300 the upper cells are near 1e300 and the lower ones near
-    # 1e-300: a reciprocal computed and then discarded that overflowed would
-    # raise a RuntimeWarning, which pytest turns into an error
+    # at scale 1.0 no product overflows, and the aggregate is the product
+    # reference to the bit; at scale 1e300 every product of two or more
+    # experts overflows and the split runs.  There the upper cells are near
+    # 1e300 and the lower ones near 1e-300: an overflow or a log of an
+    # underflowed 0 would raise a RuntimeWarning, which pytest turns into an
+    # error
     for scale in (1.0, 1e300):
         panel = [a.copy() for a in judgments]
         for a in panel:
@@ -276,10 +290,107 @@ def test_aggregate_geometric_matches_the_loop_reference_bit_for_bit(n, k):
         panel = [PairwiseMatrix(a) for a in panel]
         before = [m.values.tobytes() for m in panel]
         v = aggregate_geometric(panel).values
-        assert v.tobytes() == reference_aggregate(panel).tobytes()
-        assert np.array_equal(v.T[upper], 1.0 / v[upper])
-        assert np.all(np.diag(v) == 1.0)
-        assert [m.values.tobytes() for m in panel] == before
+        if scale == 1.0 or k == 1:
+            assert v.tobytes() == reference_aggregate(panel).tobytes()
+        assert_reciprocal_and_untouched(panel, before, v)
+
+
+def noisy_reciprocal_panel(rng, n, experts, sigma):
+    """Reciprocal matrices scattered log-normally around one consistent
+    base, drawn as the benchmark's panels are."""
+    w = np.exp(rng.uniform(-1.5, 1.5, size=n))
+    log_base = np.log(w)[:, None] - np.log(w)[None, :]
+    noise = rng.normal(0.0, sigma, size=(experts, n, n))
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    out = np.ones((experts, n, n))
+    values = np.exp(log_base + noise)
+    out[:, upper] = values[:, upper]
+    out.transpose(0, 2, 1)[:, upper] = 1.0 / values[:, upper]
+    return [PairwiseMatrix(a) for a in out]
+
+
+def worst_ulps(matrices, v, cells):
+    """The largest distance, in ulps, of v's cells from a 40-digit decimal
+    geometric mean of the experts' cells."""
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for i, j in cells:
+            product = decimal.Decimal(1)
+            for m in matrices:
+                product *= decimal.Decimal(float(m.values[i, j]))
+            exact = (product.ln() / len(matrices)).exp()
+            error = abs(decimal.Decimal(float(v[i, j])) - exact)
+            worst = max(worst, float(error / decimal.Decimal(math.ulp(float(exact)))))
+    return worst
+
+
+def upper_cells(n, every=1):
+    """Every ``every``-th cell above the diagonal, in row order."""
+    i, j = np.triu_indices(n, 1)
+    return list(zip(i[::every].tolist(), j[::every].tolist()))
+
+
+def example_panel():
+    doc = json.loads(example_input_text("matrices.json"))
+    return pairwise_matrices([e["matrix"] for e in doc["experts"]])
+
+
+# name: (panel, the step between the upper cells the oracle checks).  Over
+# all upper cells, a running sum of k logs, the former kernel, is 4.9-6.6
+# ulps off on the 200 x 8 panels of seeds 1-8 and 9-25 ulps on the 14 x 256
+# ones of seeds 1-14; the product is within 2.7, and within 3.8 where the
+# split adds the logs of two halves, which rounds at the scale of the logs
+# twice more.  The example is 2.0 ulps off either way.
+ORACLE_CASES = {
+    "example": (example_panel, 1),
+    "wide-200x8": (lambda: noisy_reciprocal_panel(np.random.default_rng([1, 3]), 200, 8, 0.2),
+                   50),
+    "panel-14x256": (lambda: noisy_reciprocal_panel(np.random.default_rng([1, 1]), 14, 256, 0.4),
+                     1),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_aggregate_geometric_is_within_ulps_of_a_decimal_oracle(case):
+    build, every = ORACLE_CASES[case]
+    panel = build()
+    v = aggregate_geometric(panel).values
+    assert worst_ulps(panel, v, upper_cells(len(v), every)) <= 3.0
+
+
+def test_aggregate_geometric_splits_an_overflowing_product():
+    # 20**300 overflows, so the product of 300 copies is split, down to
+    # halves of 150 (20**150 ~ 1e195); the geometric mean of copies is 20
+    a = np.ones((3, 3))
+    a[0, 2], a[2, 0] = 20.0, 1 / 20.0
+    a[0, 1], a[1, 0] = 1 / 3.0, 3.0
+    copies = [PairwiseMatrix(a)] * 300
+    before = [m.values.tobytes() for m in copies]
+    v = aggregate_geometric(copies).values
+    assert_reciprocal_and_untouched(copies, before, v)
+    assert worst_ulps(copies, v, upper_cells(3)) <= 4.0
+
+
+def test_aggregate_geometric_split_on_an_expert_panel():
+    # the draw of the benchmark's expert-panel at seed 4: the largest log-sum
+    # of a cell over its 256 experts is 718, past the 709.78 at which a
+    # double overflows
+    panel = noisy_reciprocal_panel(np.random.default_rng([4, 1]), 14, 256, 0.4)
+    stack = np.stack([m.values for m in panel])
+    assert np.abs(np.log(stack).sum(axis=0)).max() > math.log(np.finfo(float).max)
+    before = [m.values.tobytes() for m in panel]
+    v = aggregate_geometric(panel).values
+    assert_reciprocal_and_untouched(panel, before, v)
+    assert worst_ulps(panel, v, upper_cells(14)) <= 4.0
+
+
+def test_aggregate_geometric_of_one_matrix_is_exp_of_log():
+    rng = np.random.default_rng(11)
+    m = random_reciprocal(rng, 6)
+    v = aggregate_geometric([m]).values
+    upper = np.triu_indices(6, 1)
+    assert v[upper].tobytes() == np.exp(np.log(m.values))[upper].tobytes()
 
 
 def test_aggregate_rejects_empty_and_mismatched():

@@ -201,13 +201,24 @@ def test_number_refuses_the_rest(value):
 
 
 def test_an_ri_key_past_ints_digit_limit_is_a_parse_error(tmp_path):
-    # int() refuses a str of more than 4,300 digits with ValueError
+    # int() refuses a str of more than 4,300 digits with ValueError; the
+    # refusal echoes the key through reprlib, bounded to 30 characters
     key = "1" * 5000
     path = tmp_path / "ri.json"
     path.write_text(json.dumps({key: 0.5}))
     with pytest.raises(errors.ParseError) as e:
         load_ri_table(path)
-    assert str(e.value) == f"{path}: bad RI entry {key!r}: 0.5"
+    assert str(e.value) == f"{path}: bad RI entry '{'1' * 12}...{'1' * 13}': 0.5"
+
+
+def test_a_long_list_in_a_number_field_is_echoed_bounded(tmp_path):
+    path = tmp_path / "ri.json"
+    path.write_text(json.dumps({"3": [1] * 3000}))
+    with pytest.raises(errors.ParseError) as e:
+        load_ri_table(path)
+    assert str(e.value) == f"{path}: bad RI entry '3': [1, 1, 1, 1, 1, 1, ...] is not a number"
+    with pytest.raises(TypeError, match=r"^\[1, 1, 1, 1, 1, 1, \.\.\.\] is not a number$"):
+        number([1] * 3000)
 
 
 # name: (call of a count, the name its ConfigError gives); each refuses a
