@@ -68,7 +68,7 @@ def number_text(text: str, kind: type = float) -> float | int:
 
 def count(value, error=None, what: str = "") -> int:
     """``value`` as an int if it is a count, else TypeError: a count is a
-    ``numbers.Integral`` but not a bool (int and numpy's integer scalars).
+    ``numbers.Integral`` but not a bool (an int, or an array library's integer scalar).
     Given an ``error`` class, the refusal is ``error("<what>: <value> is not
     an integer")``, the value bounded by ``reprlib.repr`` as ``number`` does."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -101,7 +101,7 @@ def parse_label(name: str) -> Label:
     try:
         return Label[name]
     except (KeyError, TypeError):
-        raise ParseError(f"unknown grade name {name!r}; expected one of "
+        raise ParseError(f"unknown grade name {reprlib.repr(name)}; expected one of "
                          + ", ".join(l.name for l in FRAME)) from None
 
 

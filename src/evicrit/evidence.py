@@ -1,14 +1,15 @@
 """Evidence fusion: conflict, Dempster's rule, Murphy's averaging rule, the
 pignistic transform, and ranking.
 
-The kernels work on each Bpa's tuple of slot masses.  Every sum they form
-is one ``math.fsum``, which is correctly rounded, so results do not depend
-on the order of the focal sets and Dempster's rule is commutative bit for
-bit.
+The kernels work on each Bpa's tuple of slot masses in plain Python.
+Dempster's rule walks every pair of focal slots and adds each product to
+the slot of the pair's intersection.  Every sum they form is one
+``math.fsum``, which is correctly rounded, so results do not depend on the
+order of the focal sets and Dempster's rule is commutative bit for bit.
 
 ``brute_force_combine`` re-derives Dempster's rule by enumerating every
 subset pair of the frame with no sparsity shortcuts; it exists purely as an
-oracle for the optimized path and must stay independent of it.
+oracle for the focal-pair loop and must stay independent of it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .core import (
     EMPTY_SET,
@@ -44,35 +43,22 @@ class CombinationResult:
     conflict_k: float
 
 
-#: AND_TABLE[a, b] is the slot of the intersection of slots a and b
-AND_TABLE = np.bitwise_and.outer(np.arange(SLOTS), np.arange(SLOTS))
-AND_TABLE.setflags(write=False)
-#: the outer product's (row, column) pairs grouped by the slot of their
-#: intersection, and where each slot's group starts
-_BY_TARGET = np.argsort(AND_TABLE.ravel(), kind="stable")
-_ROWS, _COLS = np.divmod(_BY_TARGET, SLOTS)
-_TARGET_STARTS = np.searchsorted(AND_TABLE.ravel()[_BY_TARGET], np.arange(SLOTS))
-
-
 def _conjunctive(m1: Bpa, m2: Bpa) -> list[float]:
     """Unnormalized conjunctive combination, one value per slot.
 
-    Each focal pair's product goes to the slot of its intersection; each
-    slot is one correctly rounded ``fsum`` of its products, so the result
-    does not depend on the order of the pairs.  Slot 0 is the conflict k.
+    Walks every pair of focal slots (mass > 0, which skips zero, negative
+    and NaN slots) and puts the pair's product in the slot of its
+    intersection ``a & b``; each slot is one correctly rounded ``fsum`` of
+    its products, so the result does not depend on the order of the pairs.
+    Slot 0 is the conflict k.
     """
-    products = np.maximum(m1.vector, 0.0)[_ROWS] * np.maximum(m2.vector, 0.0)[_COLS]
-    # drops every pair with a non-focal side: products of 0, and nan
-    keep = products > 0.0
-    counts = np.add.reduceat(keep, _TARGET_STARTS, dtype=np.intp).tolist()
-    values = products[keep].tolist()
-    sums = []
-    start = 0
-    for count in counts:
-        end = start + count
-        sums.append(math.fsum(values[start:end]) if count else 0.0)
-        start = end
-    return sums
+    focal2 = [(b, y) for b, y in enumerate(m2.vector) if y > 0.0]
+    products: list[list[float]] = [[] for _ in range(SLOTS)]
+    for a, x in enumerate(m1.vector):
+        if x > 0.0:
+            for b, y in focal2:
+                products[a & b].append(x * y)
+    return [math.fsum(slot) for slot in products]
 
 
 def conflict(m1: Bpa, m2: Bpa) -> float:

@@ -198,7 +198,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ParseError(f"repeated key {repeated!r}")
+        raise ParseError(f"repeated key {reprlib.repr(repeated)}")
     return doc
 
 
@@ -271,24 +271,32 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
                                  line=line)
             *key, cell = row
             if key[-1] not in ids:
-                raise UnknownIndicator(f"unknown indicator {key[-1]!r}", line=line)
+                raise UnknownIndicator(f"unknown indicator {reprlib.repr(key[-1])}",
+                                       line=line)
             try:
                 value = parse(number_text(cell))
             except ValueError:
-                raise ParseError(f"{what} {cell!r} is not a number", line=line) from None
+                raise ParseError(f"{what} {reprlib.repr(cell)} is not a number",
+                                 line=line) from None
             except EvicritError as e:
                 e.line = line
                 raise
             seen_at = seen.setdefault(tuple(key), line)
             if seen_at != line:
-                raise ParseError(f"expert {key[0]!r} already scored {key[1]} at line "
-                                 f"{seen_at}" if what == "score"
-                                 else f"duplicate prior for {key[0]}", line=line)
+                raise ParseError(f"expert {reprlib.repr(key[0])} already scored "
+                                 f"{_clipped(key[1])} at line {seen_at}" if what == "score"
+                                 else f"duplicate prior for {_clipped(key[0])}", line=line)
             pairs.append((key[-1], value))
     except csv.Error as e:
         raise ParseError(str(e), line=reader.line_num) from None
     _check_covered(ids, {i for i, _ in pairs}, "scores" if what == "score" else "prior")
     return pairs
+
+
+def _clipped(text: str) -> str:
+    """``text`` for an echo without quotes, cut in the middle past 30
+    characters as ``reprlib.repr`` cuts a string."""
+    return text if len(text) <= 30 else f"{text[:13]}...{text[-14:]}"
 
 
 def _check_covered(ids: Sequence[str], found, what: str):
@@ -330,7 +338,7 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
         try:
             indicator_id.encode("utf-8")
         except UnicodeEncodeError:
-            raise ParseError(f"indicator id {indicator_id!r} is not encodable "
+            raise ParseError(f"indicator id {reprlib.repr(indicator_id)} is not encodable "
                              f"as UTF-8") from None
     if len(set(ids)) != len(ids):
         raise ParseError('duplicate indicator ids')
@@ -370,8 +378,9 @@ def _check_expert(pos: int, entry, n: int, seen: set[str]) -> str:
     if not isinstance(expert_id, str):
         raise ParseError('"id" must be a string', field=f"experts[{pos}]")
     if expert_id in seen:
-        raise ParseError(f"duplicate expert id {expert_id!r}", field=f"experts[{pos}]")
-    field = f"expert {expert_id!r}"
+        raise ParseError(f"duplicate expert id {reprlib.repr(expert_id)}",
+                         field=f"experts[{pos}]")
+    field = f"expert {reprlib.repr(expert_id)}"
     try:
         shape = np.array(rows, dtype=float).shape
     except (TypeError, ValueError, OverflowError):
@@ -382,7 +391,7 @@ def _check_expert(pos: int, entry, n: int, seen: set[str]) -> str:
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if type(cell) not in JSON_NUMBER_TYPES:
-                raise ParseError(f"matrix cell ({i + 1},{j + 1}) is {cell!r}, "
+                raise ParseError(f"matrix cell ({i + 1},{j + 1}) is {reprlib.repr(cell)}, "
                                  f"not a number", field=field)
     return expert_id
 
@@ -394,7 +403,7 @@ def _expert_matrices(expert_ids: list[str], values, first: int = 0
     try:
         matrices = pairwise_matrices(values)
     except InvalidMatrix as e:
-        e.field = f"expert {expert_ids[e.index]!r}"
+        e.field = f"expert {reprlib.repr(expert_ids[e.index])}"
         e.index += first
         raise
     return list(zip(expert_ids, matrices))
@@ -468,7 +477,7 @@ def load_bpa_fixtures(path: str | Path, ids: Sequence[str], *,
     out: dict[str, Bpa] = {}
     for indicator_id, cell in doc.items():
         if indicator_id not in known:
-            raise UnknownIndicator(f"unknown indicator {indicator_id!r}")
+            raise UnknownIndicator(f"unknown indicator {reprlib.repr(indicator_id)}")
         out[indicator_id] = _bpa_cell(indicator_id, cell)
     _check_covered(ids, out, "assignment")
     return {i: out[i] for i in ids}

@@ -1,12 +1,15 @@
 """Frame, subset and mass-function basics."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evicrit
 from evicrit import errors
 from evicrit.core import (
     EMPTY_SET,
@@ -26,6 +29,19 @@ from evicrit.core import (
 )
 
 from mass_slots import slots
+
+
+@pytest.mark.parametrize("module", ["core", "fuzzy", "evidence"])
+def test_the_mass_function_modules_import_no_numpy(module):
+    # numpy belongs to the matrix path (ahp, entropy) only
+    source = (Path(evicrit.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 def test_label_order_and_names():

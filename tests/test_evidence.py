@@ -12,6 +12,7 @@ from evicrit.core import (
     EMPTY_SET,
     FRAME,
     FULL_SET,
+    Bpa,
     Label,
     Subset,
     unit_normalized,
@@ -51,6 +52,27 @@ def test_conflict_simple():
     assert conflict(m1, m1) == 0.0
     # total conflict is a value here, not an error
     assert conflict(bpa(VL=1.0), bpa(VH=1.0)) == 1.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_negative_and_nan_slots_combine_as_zero(seed):
+    # a Bpa built directly may hold them; only slots with mass > 0 are focal
+    rng = np.random.default_rng(seed)
+    m1, m2 = random_bpa(rng), random_bpa(rng)
+
+    def dirty(m):
+        vector = list(m.vector)
+        empty = [bits for bits, mass in enumerate(vector) if mass == 0.0]
+        vector[empty[0]], vector[empty[-1]] = -0.25, math.nan
+        return Bpa(vector)
+
+    def bits(result):
+        return [x.hex() for x in (result.conflict_k, *result.bpa.vector)]
+
+    assert conflict(dirty(m1), dirty(m2)).hex() == conflict(m1, m2).hex()
+    want = bits(dempster_combine(m1, m2))
+    assert bits(dempster_combine(dirty(m1), m2)) == want
+    assert bits(dempster_combine(dirty(m1), dirty(m2))) == want
 
 
 def test_dempster_self_combination():

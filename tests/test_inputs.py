@@ -270,6 +270,62 @@ def test_repeated_json_key_is_parse_error(tmp_path):
     assert "'indicators'" in str(exc.value)
 
 
+LONG = "x" * 5000
+#: how a refusal echoes LONG: as ``reprlib.repr`` bounds it
+ECHO = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+
+
+def experts_json(*experts, indicators=IDS):
+    return json.dumps({"indicators": list(indicators),
+                       "experts": [{"id": i, "matrix": m} for i, m in experts]})
+
+
+@pytest.mark.parametrize("name,data,load,error,echo", [
+    ("m.json", experts_json((LONG, GOOD), (LONG, GOOD)), ingest_matrices,
+     errors.ParseError, f"duplicate expert id {ECHO}"),
+    ("m.json", experts_json((LONG, [[1.0]])), ingest_matrices,
+     errors.OrderMismatch, f"expert {ECHO}: matrix shape"),
+    ("m.json", experts_json((LONG, [[1.0, 2.0], [2.0, 1.0]])), ingest_matrices,
+     errors.InvalidMatrix, f"expert {ECHO}: reciprocity violated"),
+    ("m.json", experts_json(("e1", [[1.0, "1" * 5000], [0.5, 1.0]])), ingest_matrices,
+     errors.ParseError, "matrix cell (1,2) is '111111111111...1111111111111', not"),
+    ("m.json", experts_json(("e1", GOOD), indicators=[LONG + "\udc80", "B"]),
+     ingest_matrices, errors.ParseError,
+     "indicator id 'xxxxxxxxxxxx...xxxxxxx\\udc80' is not encodable"),
+    ("f.json", f'{{"{LONG}": 1, "{LONG}": 2}}', lambda p: load_bpa_fixtures(p, IDS),
+     errors.ParseError, f"repeated key {ECHO}"),
+    ("f.json", json.dumps({LONG: bpa_doc()}), lambda p: load_bpa_fixtures(p, IDS),
+     errors.UnknownIndicator, f"unknown indicator {ECHO}"),
+    ("s.csv", f"expert_id,indicator,score\ne1,{LONG},5\n", lambda p: ingest_scores(p, IDS),
+     errors.UnknownIndicator, f":2: unknown indicator {ECHO}"),
+    ("s.csv", f"expert_id,indicator,score\ne1,A,{LONG}\n", lambda p: ingest_scores(p, IDS),
+     errors.ParseError, f":2: score {ECHO} is not a number"),
+    ("s.csv", f"expert_id,indicator,score\n{LONG},A,5\n{LONG},A,6\n",
+     lambda p: ingest_scores(p, IDS), errors.ParseError,
+     f":3: expert {ECHO} already scored A at line 2"),
+    ("s.csv", f"expert_id,indicator,score\ne1,{LONG},5\ne1,{LONG},6\n",
+     lambda p: ingest_scores(p, (LONG, "B")), errors.ParseError,
+     ":3: expert 'e1' already scored xxxxxxxxxxxxx...xxxxxxxxxxxxxx at line 2"),
+    ("p.csv", f"indicator,lambda\n{LONG},0.5\n{LONG},0.5\n",
+     lambda p: ingest_priors(p, (LONG, "B")), errors.ParseError,
+     ":3: duplicate prior for xxxxxxxxxxxxx...xxxxxxxxxxxxxx"),
+    ("b.json", json.dumps([bpa_doc((LONG,))]), load_bpa_list,
+     errors.ParseError, f"bpas[0]: unknown grade name {ECHO}; expected one of"),
+], ids=["duplicate-expert-id", "expert-field-structure", "expert-field-matrix",
+        "matrix-cell", "indicator-not-utf8", "repeated-json-key",
+        "unknown-indicator-fixture", "unknown-indicator-csv", "score-not-a-number",
+        "already-scored-expert", "already-scored-indicator", "duplicate-prior",
+        "grade-name"])
+def test_a_long_value_from_a_file_is_echoed_bounded(tmp_path, name, data, load, error,
+                                                    echo):
+    p = write(tmp_path / name, data)
+    with pytest.raises(error) as exc:
+        load(p)
+    assert type(exc.value) is error
+    assert echo in str(exc.value)
+    assert len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("loader,doc,key", [
     (ingest_matrices, {**matrices_doc(), "indicators": "AB"}, '"indicators"'),
     (ingest_matrices, {**matrices_doc(), "experts": {"e1": 1}}, '"experts"'),
