@@ -87,12 +87,6 @@ def _check_stack(a: np.ndarray) -> None:
     raise InvalidMatrix(message, index=index)
 
 
-def frozen_copy(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``a`` held in immutable bytes, so that no array
-    in its ``.base`` chain can be made writeable again."""
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
-
-
 NOT_NUMBERS = "got a ragged row or a cell that is not a number"
 
 
@@ -103,7 +97,7 @@ def number_cells(values) -> bool:
     An ndarray is judged by its dtype alone: float and integer arrays pass;
     str, bytes, bool and object arrays do not.  A list or tuple passes when
     each of its items does.  Any other cell must be a number by
-    ``core.number``'s rule.
+    ``core.number``'s rule and fit a float.
     """
     if isinstance(values, np.ndarray):
         return values.dtype.kind in "fiu"
@@ -111,35 +105,46 @@ def number_cells(values) -> bool:
         return all(map(number_cells, values))
     try:
         number(values)
-    except TypeError:
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
         return False
     return True
+
+
+def frozen_cells(values, what: str) -> np.ndarray:
+    """The matrix constructors' one intake: ``values`` as floats, one copy
+    held in immutable bytes, so no array under it can be made writeable.  A
+    cell that ``number_cells`` does not take, or a ragged row, raises
+    InvalidMatrix: "expected {what} of numbers, ..."."""
+    try:
+        a = np.asarray(values, dtype=float) if number_cells(values) else None
+    except ValueError:  # a ragged row
+        a = None
+    if a is None:
+        raise InvalidMatrix(f"expected {what} of numbers, {NOT_NUMBERS}")
+    return np.frombuffer(a.tobytes()).reshape(a.shape)
 
 
 def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
     """One PairwiseMatrix per array, checked together as one stack.
 
     The arrays share one square shape; a (k, n, n) array is k of them.  They
-    are converted once, and the one copy goes to immutable bytes before the
-    checks.  A cell that ``number_cells`` does not take, or a ragged row,
-    raises InvalidMatrix.  A failing matrix raises its InvalidMatrix, with
-    its position in ``arrays`` as ``index``.  Each matrix returned is a
-    read-only view of the checked copy.
+    go through ``frozen_cells`` once, as one stack.  A failing matrix raises
+    its InvalidMatrix, with its position in ``arrays`` as ``index``.  Each
+    matrix returned is a read-only view of the checked copy.
     """
-    if not number_cells(arrays):
-        raise InvalidMatrix(f"expected square matrices of numbers, {NOT_NUMBERS}")
+    what = "square matrices"
     try:
-        stack = np.asarray(arrays, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
-        stack = None
+        stack = frozen_cells(arrays, what)
+    except InvalidMatrix:
+        if not number_cells(arrays):
+            raise
+        stack = None  # ragged as a stack: its matrices may still be numbers
     if stack is None or stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
         try:
-            shapes = sorted({np.asarray(a, dtype=float).shape for a in arrays})
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidMatrix(
-                f"expected square matrices of numbers, {NOT_NUMBERS}") from None
+            shapes = sorted({frozen_cells(a, what).shape for a in arrays})
+        except TypeError:  # a single number
+            raise InvalidMatrix(f"expected {what} of numbers, {NOT_NUMBERS}") from None
         raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
-    stack = frozen_copy(stack)
     _check_stack(stack)
     matrices = []
     for values in stack:
@@ -199,8 +204,9 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     total = _log_product([m.values for m in matrices])
     total /= len(matrices)
     mean = np.exp(total, out=total)
-    # only the kept reciprocals are computed, so none can overflow unseen
-    np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
+    # a reciprocal of a subnormal mean overflows to inf, which the check refuses
+    with np.errstate(over="ignore"):
+        np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(mean, 1.0)
     return PairwiseMatrix(mean)
 

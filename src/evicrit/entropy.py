@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ahp import NOT_NUMBERS, frozen_copy, number_cells
+from .ahp import frozen_cells
 from .core import number
 from .errors import (
     AllZeroDivergence,
@@ -36,12 +36,7 @@ class DecisionMatrix:
     ids: tuple[str, ...]
 
     def __post_init__(self):
-        try:
-            a = np.asarray(self.values, dtype=float) if number_cells(self.values) else None
-        except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float
-            a = None
-        if a is None:
-            raise InvalidMatrix(f"expected a 2-D matrix of numbers, {NOT_NUMBERS}")
+        a = frozen_cells(self.values, "a 2-D matrix")
         if a.ndim != 2:
             raise InvalidMatrix(f"expected a 2-D matrix, got shape {a.shape}")
         m, n = a.shape
@@ -59,7 +54,7 @@ class DecisionMatrix:
             raise InvalidMatrix(f"{len(ids)} column ids for {n} columns")
         if len(set(ids)) != n:
             raise InvalidMatrix("column ids must be unique")
-        object.__setattr__(self, "values", frozen_copy(a))
+        object.__setattr__(self, "values", a)
         object.__setattr__(self, "ids", ids)
 
 

@@ -302,7 +302,8 @@ def _clipped(text: str) -> str:
 def _check_covered(ids: Sequence[str], found, what: str):
     missing = [i for i in ids if i not in found]
     if missing:
-        raise MissingIndicator(f"no {what} for {', '.join(missing)}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise MissingIndicator(f"no {what} for {', '.join(map(_clipped, missing[:5]))}{more}")
 
 
 @_collector_paused
@@ -459,7 +460,7 @@ def _bpa_cell(where: str, cell) -> Bpa:
     try:
         return bpa_from_dict(cell)
     except EvicritError as e:
-        e.field = where
+        e.field = _clipped(where)
         raise
 
 

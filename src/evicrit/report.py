@@ -44,6 +44,8 @@ FUSION_COLUMNS: tuple[tuple[str, Subset], ...] = (
 
 _CHART_COLORS = dict(zip(EntropyTable.COLUMNS,
                          ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")))
+#: an id in the chart is XML text: ``xml.sax.saxutils.escape``'s entities, without its import
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _atomic_write(path: str | Path, data: str) -> Path:
@@ -341,6 +343,7 @@ def emit_chart(manifest: "RunManifest", path: str | Path) -> Path:
         parts.append(f'<text x="{x0 - 6:.2f}" y="{y + 3:.2f}" '
                      f'text-anchor="end">{value:.2f}</text>')
     for g, indicator_id in enumerate(table.ids):
+        label = indicator_id.translate(_XML_TEXT)
         gx = x0 + g * group_w + group_gap / 2.0
         for s, (name, values) in enumerate(series.items()):
             value = values[g]
@@ -351,11 +354,11 @@ def emit_chart(manifest: "RunManifest", path: str | Path) -> Path:
                 f'<rect class="bar" x="{bx:.2f}" y="{by:.2f}" '
                 f'width="{bar_w:.2f}" height="{h:.2f}" '
                 f'fill="{_CHART_COLORS[name]}">'
-                f'<title>{indicator_id} {name}={value:.6g}</title>'
+                f'<title>{label} {name}={value:.6g}</title>'
                 f'</rect>')
         parts.append(f'<text x="{gx + bar_w * len(series) / 2.0:.2f}" '
                      f'y="{baseline + 12:.2f}" text-anchor="middle">'
-                     f'{indicator_id}</text>')
+                     f'{label}</text>')
     legend_y = baseline + 30.0
     for s, name in enumerate(series):
         lx = x0 + s * 70.0

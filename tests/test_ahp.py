@@ -175,6 +175,8 @@ def test_matrix_is_read_only():
 
 
 NOT_NUMBERS = "got a ragged row or a cell that is not a number"
+GOOD = [[1.0, 2.0], [0.5, 1.0]]
+BIG = [[10**400, 1.0], [1.0, 1.0]]  # an int beyond float
 
 
 @pytest.mark.parametrize("build, message", [
@@ -188,8 +190,34 @@ NOT_NUMBERS = "got a ragged row or a cell that is not a number"
      f"expected square matrices of numbers, {NOT_NUMBERS}"),
     (lambda: DecisionMatrix([["x", 1.0], [1.0, 1.0]], ["a", "b"]),
      f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices(5), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices(None), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices("ab"), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices(a for a in [GOOD]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices([]), "expected a stack of square matrices, got shapes []"),
+    (lambda: pairwise_matrices([1.0, 2.0]),
+     "expected a stack of square matrices, got shapes [()]"),
+    (lambda: pairwise_matrices(GOOD), "expected a stack of square matrices, got shapes [(2,)]"),
+    (lambda: pairwise_matrices([[GOOD]]),
+     "expected a stack of square matrices, got shapes [(1, 2, 2)]"),
+    (lambda: pairwise_matrices([GOOD, np.ones((3, 3))]),
+     "expected a stack of square matrices, got shapes [(2, 2), (3, 3)]"),
+    (lambda: PairwiseMatrix(5), "expected a stack of square matrices, got shapes [()]"),
+    (lambda: PairwiseMatrix(None), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix([[1.0, 2.0], [0.5]]),
+     f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix(5, ["a", "b"]), "expected a 2-D matrix, got shape ()"),
+    (lambda: DecisionMatrix((row for row in GOOD), ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix([GOOD], ["a", "b"]), "expected a 2-D matrix, got shape (1, 2, 2)"),
+    (lambda: DecisionMatrix([[1.0, 2.0], [0.5]], ["a", "b"]),
+     f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
 ], ids=["stack-string-cell", "stack-ragged-row", "stack-object-cell",
-        "matrix-string-cell", "decision-string-cell"])
+        "matrix-string-cell", "decision-string-cell", "stack-number", "stack-none",
+        "stack-str", "stack-generator", "stack-empty", "stack-1d", "stack-2d", "stack-4d",
+        "stack-mixed-shapes", "matrix-number", "matrix-none", "matrix-ragged-row",
+        "decision-number", "decision-generator", "decision-3d", "decision-ragged-row"])
 def test_cells_that_are_not_numbers_are_invalid_matrices(build, message):
     with pytest.raises(errors.InvalidMatrix) as exc:
         build()
@@ -219,10 +247,14 @@ def test_cells_that_are_not_numbers_are_invalid_matrices(build, message):
      f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
     (lambda: DecisionMatrix(np.ones((2, 2), dtype=object), ["a", "b"]),
      f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
+    (lambda: pairwise_matrices([BIG]), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: PairwiseMatrix(BIG), f"expected square matrices of numbers, {NOT_NUMBERS}"),
+    (lambda: DecisionMatrix(BIG, ["a", "b"]), f"expected a 2-D matrix of numbers, {NOT_NUMBERS}"),
 ], ids=["matrix-numeric-strings", "matrix-bool-cell", "stack-bytes-cell",
         "matrix-str-array", "matrix-bool-array", "stack-object-array",
         "decision-numeric-strings", "decision-bool-cell", "decision-bytes-array",
-        "decision-bool-array", "decision-object-array"])
+        "decision-bool-array", "decision-object-array", "stack-big-int", "matrix-big-int",
+        "decision-big-int"])
 def test_matrix_constructors_take_numbers_only(build, message):
     # the loaders' rule: a numeric string or a bool is not a number
     with pytest.raises(errors.InvalidMatrix) as exc:
@@ -290,6 +322,7 @@ def test_aggregate_geometric_matches_the_loop_reference_bit_for_bit(n, k):
         panel = [PairwiseMatrix(a) for a in panel]
         before = [m.values.tobytes() for m in panel]
         v = aggregate_geometric(panel).values
+        assert PairwiseMatrix(v).values.tobytes() == v.tobytes()
         if scale == 1.0 or k == 1:
             assert v.tobytes() == reference_aggregate(panel).tobytes()
         assert_reciprocal_and_untouched(panel, before, v)
@@ -400,6 +433,12 @@ def test_aggregate_rejects_empty_and_mismatched():
     c = PairwiseMatrix(np.ones((3, 3)))
     with pytest.raises(errors.OrderMismatch):
         aggregate_geometric([a, c])
+    # reciprocal within the tolerance, but 1 / the subnormal mean overflows:
+    # the final check refuses it, with no RuntimeWarning on the way
+    tiny = PairwiseMatrix([[1.0, 5.5626846462678e-309], [1.7976931348623157e+308, 1.0]])
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        aggregate_geometric([tiny])
+    assert str(exc.value) == "all entries must be positive finite reals"
 
 
 def test_principal_eigenvalue_consistent_matrix():

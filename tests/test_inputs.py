@@ -311,11 +311,19 @@ def experts_json(*experts, indicators=IDS):
      ":3: duplicate prior for xxxxxxxxxxxxx...xxxxxxxxxxxxxx"),
     ("b.json", json.dumps([bpa_doc((LONG,))]), load_bpa_list,
      errors.ParseError, f"bpas[0]: unknown grade name {ECHO}; expected one of"),
+    ("s.csv", "expert_id,indicator,score\ne1,B,5\n", lambda p: ingest_scores(p, (LONG, "B")),
+     errors.MissingIndicator, ": no scores for xxxxxxxxxxxxx...xxxxxxxxxxxxxx"),
+    ("f.json", json.dumps({LONG: bpa_doc(mass=2.0), "B": bpa_doc()}),
+     lambda p: load_bpa_fixtures(p, (LONG, "B")), errors.MassOutOfRange,
+     ": xxxxxxxxxxxxx...xxxxxxxxxxxxxx: mass 2.0 on {H} outside [0, 1]"),
+    ("s.csv", "expert_id,indicator,score\ne1,i1000,5\n",
+     lambda p: ingest_scores(p, tuple(f"i{k}" for k in range(1001))),
+     errors.MissingIndicator, ": no scores for i0, i1, i2, i3, i4 and 995 more"),
 ], ids=["duplicate-expert-id", "expert-field-structure", "expert-field-matrix",
         "matrix-cell", "indicator-not-utf8", "repeated-json-key",
         "unknown-indicator-fixture", "unknown-indicator-csv", "score-not-a-number",
         "already-scored-expert", "already-scored-indicator", "duplicate-prior",
-        "grade-name"])
+        "grade-name", "missing-long-id", "fixture-field", "missing-many-ids"])
 def test_a_long_value_from_a_file_is_echoed_bounded(tmp_path, name, data, load, error,
                                                     echo):
     p = write(tmp_path / name, data)

@@ -1,7 +1,10 @@
-"""The one JSON encoder: the bytes and errors of json.dumps(..., indent=2)."""
+"""The one JSON encoder: the bytes and errors of json.dumps(..., indent=2);
+the chart is well-formed XML whatever its ids."""
 
 import json
 import math
+from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evicrit.core import Label
-from evicrit.report import json_text
+from evicrit.entropy import DecisionMatrix, build_table
+from evicrit.report import emit_chart, json_text
 
 # non-ASCII, control, quote and backslash characters, then anything
 _TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\xe9 \U0001f600'),
@@ -55,3 +59,16 @@ def test_json_text_does_not_run_the_pure_python_encoder(monkeypatch):
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     doc = {"a": [1, 2.5, "x", None, True, (), {}], 3: {"b": np.float64(0.5)}}
     assert json_text(doc).startswith('{\n  "a": [\n    1,\n    2.5,')
+
+
+def test_chart_ids_are_escaped(tmp_path):
+    ids = ("B1<&", "a>b", 'say "x"', "it's", "&amp;", "<text>")
+    values = np.arange(1.0, 13.0).reshape(2, 6)
+    table = build_table(DecisionMatrix(values, ids), {i: 1.0 for i in ids})
+    root = ElementTree.parse(emit_chart(SimpleNamespace(entropy_table=table),
+                                        tmp_path / "c.svg")).getroot()
+    svg = "{http://www.w3.org/2000/svg}"
+    labels = [t.text for t in root.iter(f"{svg}text") if t.get("text-anchor") == "middle"]
+    assert labels == list(ids)
+    titles = [t.text.rsplit(" ", 1)[0] for t in root.iter(f"{svg}title")]
+    assert titles == [i for i in ids for _ in table.COLUMNS]
