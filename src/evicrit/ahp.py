@@ -146,12 +146,14 @@ def pairwise_matrices(arrays: Sequence[np.ndarray]) -> list[PairwiseMatrix]:
             raise InvalidMatrix(f"expected {what} of numbers, {NOT_NUMBERS}") from None
         raise InvalidMatrix(f"expected a stack of square matrices, got shapes {shapes}")
     _check_stack(stack)
-    matrices = []
-    for values in stack:
-        m = object.__new__(PairwiseMatrix)  # checked above, as one stack
-        object.__setattr__(m, "values", values)
-        matrices.append(m)
-    return matrices
+    return [_checked(values) for values in stack]
+
+
+def _checked(values: np.ndarray) -> PairwiseMatrix:
+    """A PairwiseMatrix of frozen ``values`` that its caller has checked."""
+    m = object.__new__(PairwiseMatrix)
+    object.__setattr__(m, "values", values)
+    return m
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,9 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     normal range only when its mirror's overflows to inf, which stays inf.
     P is within k - 1 rounding units of the exact product (Higham 2002): the
     result is within 3 ulps of a 40-digit mean in the tests, 4 with a split.
-    The lower triangle is set to 1 / the upper one (the mean is reciprocal,
-    Aczel & Saaty 1983) and the diagonal to 1.  Inputs are not modified.
+    The lower triangle is set to 1 / the upper one and the diagonal to 1, so
+    the mean is reciprocal by construction (Aczel & Saaty 1983) and only its
+    cells' soundness is checked.  Inputs are not modified.
     """
     if len(matrices) == 0:
         raise EmptyInput("need at least one matrix to aggregate")
@@ -204,11 +207,13 @@ def aggregate_geometric(matrices: Sequence[PairwiseMatrix]) -> PairwiseMatrix:
     total = _log_product([m.values for m in matrices])
     total /= len(matrices)
     mean = np.exp(total, out=total)
-    # a reciprocal of a subnormal mean overflows to inf, which the check refuses
+    # a reciprocal of a subnormal mean overflows to inf, which the test refuses
     with np.errstate(over="ignore"):
         np.divide(1.0, mean.T, out=mean, where=np.tri(n, k=-1, dtype=bool))
     np.fill_diagonal(mean, 1.0)
-    return PairwiseMatrix(mean)
+    if not ((mean > 0.0) & (mean < math.inf)).all():
+        raise InvalidMatrix("all entries must be positive finite reals", index=0)
+    return _checked(frozen_cells(mean, "square matrices"))
 
 
 def principal_eigenvalue(m: PairwiseMatrix) -> float:

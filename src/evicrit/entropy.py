@@ -44,7 +44,7 @@ class DecisionMatrix:
             raise DegenerateRows(f"need at least 2 rows, got {m}")
         if n < 2:
             raise InvalidMatrix(f"need at least 2 columns, got {n}")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
+        if not ((a >= 0.0) & (a < math.inf)).all():  # NaN and ±inf fail
             raise InvalidMatrix("entries must be nonnegative finite reals")
         zero_cols = np.flatnonzero(a.sum(axis=0) == 0.0)
         if zero_cols.size:
@@ -76,9 +76,8 @@ def entropy_values(p: np.ndarray) -> np.ndarray:
     m = p.shape[0]
     if m < 2:
         raise DegenerateRows(f"entropy scaling needs at least 2 rows, got {m}")
-    positive = p > 0.0
-    safe = np.where(positive, p, 1.0)
-    terms = np.where(positive, p * np.log(safe), 0.0)
+    safe = np.where(p > 0.0, p, 1.0)  # a non-positive or NaN entry adds 1 ln 1 = +0.0
+    terms = safe * np.log(safe)
     e = np.clip(-terms.sum(axis=0) / math.log(m), 0.0, 1.0)
     uniform = np.ptp(p, axis=0) == 0.0
     return np.where(uniform, 1.0, e)

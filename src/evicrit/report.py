@@ -44,8 +44,9 @@ FUSION_COLUMNS: tuple[tuple[str, Subset], ...] = (
 
 _CHART_COLORS = dict(zip(EntropyTable.COLUMNS,
                          ("#4878a8", "#e49444", "#5ba053", "#b65fa0", "#8a8a8a")))
-#: an id in the chart is XML text: ``xml.sax.saxutils.escape``'s entities, without its import
-_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+#: an id as XML text: escape's entities, CR as a reference and U+FFFD for what XML 1.0 cannot hold
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;", **dict.fromkeys(
+    map(chr, (*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF)), "\ufffd")})
 
 
 def _atomic_write(path: str | Path, data: str) -> Path:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evicrit import errors
+from evicrit import ahp, errors
 from evicrit.ahp import (
     DEFAULT_RI,
     RECIPROCITY_TOL,
@@ -439,6 +439,21 @@ def test_aggregate_rejects_empty_and_mismatched():
     with pytest.raises(errors.InvalidMatrix) as exc:
         aggregate_geometric([tiny])
     assert str(exc.value) == "all entries must be positive finite reals"
+    assert exc.value.index == 0
+
+
+def test_aggregate_geometric_checks_soundness_only(monkeypatch):
+    # reciprocal by construction: the aggregate skips the full stack check
+    panel = noisy_reciprocal_panel(np.random.default_rng([1, 1]), 20, 8, 0.2)
+
+    def no_check(a):
+        raise AssertionError("aggregate_geometric re-ran the stack check")
+
+    monkeypatch.setattr(ahp, "_check_stack", no_check)
+    v = aggregate_geometric(panel).values
+    assert not v.flags.writeable
+    monkeypatch.undo()
+    assert PairwiseMatrix(v).values.tobytes() == v.tobytes()
 
 
 def test_principal_eigenvalue_consistent_matrix():

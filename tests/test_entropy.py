@@ -46,6 +46,38 @@ def test_decision_matrix_validation():
         DecisionMatrix(np.ones((2, 2)), ["a", "a"])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_decision_matrix_refuses_a_cell_that_is_not_nonnegative_finite(bad):
+    with pytest.raises(errors.InvalidMatrix) as exc:
+        dm([[1.0, bad], [2.0, 3.0]])
+    assert str(exc.value) == "entries must be nonnegative finite reals"
+
+
+def test_decision_matrix_takes_negative_zero():
+    assert math.copysign(1.0, dm([[1.0, -0.0], [2.0, 3.0]]).values[0, 1]) == -1.0
+
+
+def two_where_entropy_terms(p):
+    positive = p > 0.0
+    return np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
+
+
+def test_entropy_values_match_the_two_where_reference_bit_for_bit():
+    # 0 ln 0 = 0 for every entry that is not positive, NaN included: one
+    # where on the log's argument gives the bits of a second where on the terms
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, -5e-324,
+               5e-324, 2.2e-308, 1e-300, 0.5, 1.0, 1e300]
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        p = rng.choice(special + list(rng.random(4)), size=(rng.integers(2, 6), 3))
+        m = p.shape[0]
+        with np.errstate(invalid="ignore"):
+            e = np.clip(-two_where_entropy_terms(p).sum(axis=0) / math.log(m), 0.0, 1.0)
+            ref = np.where(np.ptp(p, axis=0) == 0.0, 1.0, e)
+            got = entropy_values(p)
+        assert got.tobytes() == ref.tobytes(), p
+
+
 def test_decision_matrix_is_read_only():
     d = dm([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ the chart is well-formed XML whatever its ids."""
 
 import json
 import math
+import re
 from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evicrit.core import Label
@@ -72,3 +73,23 @@ def test_chart_ids_are_escaped(tmp_path):
     assert labels == list(ids)
     titles = [t.text.rsplit(" ", 1)[0] for t in root.iter(f"{svg}title")]
     assert titles == [i for i in ids for _ in table.COLUMNS]
+
+
+# XML 1.0's Char production; every other character is drawn as U+FFFD
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_IDS = st.lists(st.text(st.one_of(st.sampled_from("\x00\x01\t\n\r\x0b\x1f\ufffe\uffff<&>\" "),
+                                  st.characters())),
+                min_size=2, max_size=4, unique=True)
+
+
+@given(ids=_IDS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chart_parses_whatever_the_ids(tmp_path, ids):
+    values = np.arange(1.0, 2.0 * len(ids) + 1.0).reshape(2, len(ids))
+    table = build_table(DecisionMatrix(values, ids))
+    root = ElementTree.parse(emit_chart(SimpleNamespace(entropy_table=table),
+                                        tmp_path / "c.svg")).getroot()
+    svg = "{http://www.w3.org/2000/svg}"
+    labels = [t.text or "" for t in root.iter(f"{svg}text") if t.get("text-anchor") == "middle"]
+    assert labels == [_NOT_XML_CHAR.sub("\ufffd", i) for i in ids]
