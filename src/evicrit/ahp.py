@@ -57,7 +57,7 @@ class PairwiseMatrix:
 
 
 def _check_stack(a: np.ndarray) -> None:
-    """Check a (k, n, n) stack of judgment matrices as one array.
+    """Check a (k, n, n) stack of judgment matrices as one array, in one pass.
 
     Raises the InvalidMatrix of the first failing matrix, with its position
     in the stack as ``index``.  A matrix fails on the first rule it breaks:
@@ -66,24 +66,21 @@ def _check_stack(a: np.ndarray) -> None:
     """
     n = a.shape[1]
     if n < 2:
-        index, message = 0, f"order must be at least 2, got {n}"
-    else:
-        sound = ((a > 0.0) & (a < math.inf)).all(axis=(1, 2))
-        end = len(a) if sound.all() else int(sound.argmin())  # first unsound
-        head = a[:end]
-        # an overflow to inf fails the check as it should, without a warning
-        with np.errstate(over="ignore", under="ignore"):
-            bad = np.abs(head * head.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL
-        hit = bad.any(axis=(1, 2))
-        if hit.any():
-            index = int(hit.argmax())
-            i, j = np.argwhere(np.triu(bad[index]))[0]
-            message = (f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
-                       f"{float(a[index, i, j])!r} * {float(a[index, j, i])!r} != 1")
-        elif end < len(a):
-            index, message = end, "all entries must be positive finite reals"
-        else:
-            return
+        raise InvalidMatrix(f"order must be at least 2, got {n}", index=0)
+    unsound = ~((a > 0.0) & (a < math.inf)).all(axis=(1, 2))
+    # an overflow to inf fails the check as it should, and an unsound
+    # matrix's inf * 0.0 is refused for its cells, both without a warning
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        bad = np.abs(a * a.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL
+    hit = unsound | bad.any(axis=(1, 2))
+    if not hit.any():
+        return
+    index = int(hit.argmax())
+    message = "all entries must be positive finite reals"
+    if not unsound[index]:
+        i, j = np.argwhere(np.triu(bad[index]))[0]
+        message = (f"reciprocity violated at ({i + 1},{j + 1})/({j + 1},{i + 1}): "
+                   f"{float(a[index, i, j])!r} * {float(a[index, j, i])!r} != 1")
     raise InvalidMatrix(message, index=index)
 
 

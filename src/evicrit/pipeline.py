@@ -256,7 +256,6 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
     if pairs is not None:
         return pairs
     seen: dict[tuple[str, ...], int] = {}
-    pairs = []
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         first = next(reader, None)
@@ -274,7 +273,7 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
                 raise UnknownIndicator(f"unknown indicator {reprlib.repr(key[-1])}",
                                        line=line)
             try:
-                value = parse(number_text(cell))
+                parse(number_text(cell))
             except ValueError:
                 raise ParseError(f"{what} {reprlib.repr(cell)} is not a number",
                                  line=line) from None
@@ -286,11 +285,10 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
                 raise ParseError(f"expert {reprlib.repr(key[0])} already scored "
                                  f"{_clipped(key[1])} at line {seen_at}" if what == "score"
                                  else f"duplicate prior for {_clipped(key[0])}", line=line)
-            pairs.append((key[-1], value))
     except csv.Error as e:
         raise ParseError(str(e), line=reader.line_num) from None
-    _check_covered(ids, {i for i, _ in pairs}, "scores" if what == "score" else "prior")
-    return pairs
+    _check_covered(ids, {key[-1] for key in seen}, "scores" if what == "score" else "prior")
+    return []  # no row and no id: the one valid file the column checks leave here
 
 
 def _clipped(text: str) -> str:
@@ -362,14 +360,19 @@ def ingest_matrices(path: str | Path, *, digests: dict | None = None,
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
     if values is None:  # an expert breaks a rule: the first fault in expert order
-        seen: set[str] = set()
-        for pos, entry in enumerate(experts):
-            seen.add(_check_expert(pos, entry, n, seen))
-            _expert_matrices([entry["id"]], [entry["matrix"]], pos)
+        seen: dict[str, list] = {}  # expert id -> matrix, of the experts walked
+        try:
+            for pos, entry in enumerate(experts):
+                expert_id = _check_expert(pos, entry, n, seen)
+                seen[expert_id] = entry["matrix"]
+        except EvicritError:
+            if seen:  # a value fault of an expert before this one comes first
+                _expert_matrices(list(seen), list(seen.values()))
+            raise
     return tuple(ids), _expert_matrices(expert_ids, values)
 
 
-def _check_expert(pos: int, entry, n: int, seen: set[str]) -> str:
+def _check_expert(pos: int, entry, n: int, seen: dict) -> str:
     """The structural checks of one expert; its id."""
     try:
         expert_id = entry["id"]
@@ -397,15 +400,13 @@ def _check_expert(pos: int, entry, n: int, seen: set[str]) -> str:
     return expert_id
 
 
-def _expert_matrices(expert_ids: list[str], values, first: int = 0
-                     ) -> list[tuple[str, PairwiseMatrix]]:
+def _expert_matrices(expert_ids: list[str], values) -> list[tuple[str, PairwiseMatrix]]:
     """(expert id, matrix) for each expert, the matrices checked as one stack;
-    an InvalidMatrix names its expert, whose position is ``first`` + ``index``."""
+    an InvalidMatrix names its expert, whose position is its ``index``."""
     try:
         matrices = pairwise_matrices(values)
     except InvalidMatrix as e:
         e.field = f"expert {reprlib.repr(expert_ids[e.index])}"
-        e.index += first
         raise
     return list(zip(expert_ids, matrices))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -388,15 +387,6 @@ def criterion_9() -> tuple[bool, str]:
                 f"{worst_cr:.2e}, eigenvalue oracle gap {worst_oracle:.2e}")
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-
 _CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (1, "reference table: d = 1 - E", criterion_1),
     (2, "published fusion average reproduced", criterion_2),
@@ -410,27 +400,18 @@ _CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_criteria() -> list[CriterionResult]:
-    results = []
+def run_selftest() -> bool:
+    """Run all criteria, print one line each to stdout, return overall success."""
+    passed_count = 0
     for number, name, fn in _CRITERIA:
         started = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as e:  # a crashed criterion is a failed criterion
             passed, detail = False, f"raised {type(e).__name__}: {e}"
-        results.append(CriterionResult(number, name, passed, detail,
-                                       time.perf_counter() - started))
-    return results
-
-
-def run_selftest() -> bool:
-    """Run all criteria, print one line each to stdout, return overall success."""
-    results = run_criteria()
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"criterion {r.number} [{status}] {r.name} "
-              f"({r.seconds:.2f}s): {r.detail}")
-    all_passed = all(r.passed for r in results)
-    print(f"selftest: {'PASS' if all_passed else 'FAIL'} "
-          f"({sum(r.passed for r in results)}/{len(results)} criteria)")
-    return all_passed
+        print(f"criterion {number} [{'PASS' if passed else 'FAIL'}] {name} "
+              f"({time.perf_counter() - started:.2f}s): {detail}")
+        passed_count += bool(passed)
+    print(f"selftest: {'PASS' if passed_count == len(_CRITERIA) else 'FAIL'} "
+          f"({passed_count}/{len(_CRITERIA)} criteria)")
+    return passed_count == len(_CRITERIA)

@@ -9,10 +9,12 @@ Verdict lines are printed with capture suspended so they appear in the
 live pytest log, pass or fail.
 """
 
+import re
 import subprocess
 import sys
 import time
 
+from evicrit import cli, selftest
 from evicrit.datasets import export_example_inputs
 from evicrit.selftest import (
     criterion_1,
@@ -134,3 +136,23 @@ def test_criterion_10_end_to_end(tmp_path, capsys):
               f"(budget 60s)")
     verdict(capsys, 10, "CLI end to end, deterministic manifest", passed,
             detail)
+
+
+def test_selftest_prints_a_line_per_criterion_and_a_verdict(monkeypatch, capsys):
+    def raises():
+        raise ValueError("no fixture")
+
+    passes = (1, "passes", lambda: (True, "fine"))
+    monkeypatch.setattr(selftest, "_CRITERIA", (
+        passes, (2, "fails", lambda: (False, "off by one")), (3, "raises", raises)))
+    assert cli.run(["selftest"]) == 1
+    out = re.sub(r" \(\d+\.\d\ds\):", ":", capsys.readouterr().out)
+    assert out.splitlines() == [
+        "criterion 1 [PASS] passes: fine",
+        "criterion 2 [FAIL] fails: off by one",
+        "criterion 3 [FAIL] raises: raised ValueError: no fixture",
+        "selftest: FAIL (1/3 criteria)",
+    ]
+    monkeypatch.setattr(selftest, "_CRITERIA", (passes, passes))
+    assert cli.run(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest: PASS (2/2 criteria)"

@@ -123,6 +123,16 @@ def test_unit_normalized_scales_and_drops():
     assert math.fsum(list(b.vector)) == 1.0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Subset(32), "subset bits out of range: 32"),
+    (lambda: Bpa([0.0] * 31), "need 32 slot values, got 31"),
+], ids=["subset-bits", "bpa-slots"])
+def test_out_of_frame_values_are_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_unit_normalized_rejects_nothing_positive():
     with pytest.raises(errors.MassSumInvalid):
         unit_normalized(slots({Subset.of(Label.H): 0.0}))

@@ -174,3 +174,11 @@ def test_first_of_two_faults_wins(tmp_path):
     assert error == (errors.DegeneratePriors,
                      f"{p}:6: prior nan is not a nonnegative finite real")
     assert error == outcome(lambda: reference_ingest(p, IDS, PRIORS))
+
+
+def test_a_header_only_file_for_no_ids_is_empty(tmp_path):
+    # the one valid file that the column checks leave to the row walk
+    for load, kind in ((ingest_scores, SCORES), (ingest_priors, PRIORS)):
+        p = tmp_path / "header.csv"
+        p.write_text(",".join(kind["header"]) + "\n")
+        assert load(p, ()) == {} == reference_ingest(p, (), kind)

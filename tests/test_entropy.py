@@ -46,6 +46,19 @@ def test_decision_matrix_validation():
         DecisionMatrix(np.ones((2, 2)), ["a", "a"])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dm([[1.0], [2.0]]), errors.InvalidMatrix, "need at least 2 columns, got 1"),
+    (lambda: DecisionMatrix(np.ones((2, 3)), ["a", "b"]), errors.InvalidMatrix,
+     "2 column ids for 3 columns"),
+    (lambda: entropy_values(np.full((1, 3), 1.0)), errors.DegenerateRows,
+     "entropy scaling needs at least 2 rows, got 1"),
+], ids=["one-column", "too-few-ids", "entropy-one-row"])
+def test_weighting_refusals_are_worded(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
 def test_decision_matrix_refuses_a_cell_that_is_not_nonnegative_finite(bad):
     with pytest.raises(errors.InvalidMatrix) as exc:

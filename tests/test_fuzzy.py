@@ -116,6 +116,9 @@ def test_membership_vector_validation():
         MembershipVector((0.7, 0.5, 0.0, 0.0, 0.0))   # sums to 1.2
     with pytest.raises(ValueError):
         MembershipVector((-0.1, 1.1, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError) as exc:
+        MembershipVector((0.25, 0.25, 0.25, 0.25))  # one value short
+    assert str(exc.value) == "need 5 memberships, got 4"
 
 
 def test_to_bpa_two_active_adjacent_mode():

@@ -8,6 +8,7 @@ command line on the same files.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -189,11 +190,19 @@ def test_indicator_id_without_utf8_exits_1(tmp_path, capsys, command):
      errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
     ([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0], [0.5, 1.0]], [[1.0, 2.0], [1.0, 1.0]]],
      errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
+    ([[[1.0, 2.0], [1.0, 1.0]], [[1.0, 0], [0.5, 1.0]]], errors.InvalidMatrix,
+     "expert 'e0': reciprocity violated at (1,2)/(2,1): 2.0 * 1.0 != 1"),
+    ([[[1.0, 0], [0.5, 1.0]], [[1.0, 2.0], [1.0, 1.0]]],
+     errors.InvalidMatrix, "expert 'e0': all entries must be positive finite reals"),
+    ([[[1.0, 2.0], [0.5, 1.0]], [[1.0, math.inf], [0.0, 1.0]]],
+     errors.InvalidMatrix, "expert 'e1': all entries must be positive finite reals"),
 ], ids=["nonreciprocal-then-string", "true-then-nonreciprocal", "zero-then-shape",
-        "zero-then-nonreciprocal"])
+        "zero-then-nonreciprocal", "nonreciprocal-then-zero", "zero-first-then-nonreciprocal",
+        "inf-mirrored-by-zero"])
 def test_first_faulty_expert_is_reported(tmp_path, matrices, error, message):
     # the experts are walked in order, each one's structural checks before
-    # its values, so the first faulty expert is named whatever its fault
+    # its values, so the first faulty expert is named whatever its fault.
+    # Values are checked as one stack: inf * 0.0 in it raises no RuntimeWarning
     doc = {"indicators": list(IDS),
            "experts": [{"id": f"e{k}", "matrix": m} for k, m in enumerate(matrices)]}
     p = write(tmp_path / "m.json", json.dumps(doc))
@@ -313,6 +322,8 @@ def experts_json(*experts, indicators=IDS):
      errors.ParseError, f"bpas[0]: unknown grade name {ECHO}; expected one of"),
     ("s.csv", "expert_id,indicator,score\ne1,B,5\n", lambda p: ingest_scores(p, (LONG, "B")),
      errors.MissingIndicator, ": no scores for xxxxxxxxxxxxx...xxxxxxxxxxxxxx"),
+    ("p.csv", "indicator,lambda\nB,0.5\n", lambda p: ingest_priors(p, (LONG, "B")),
+     errors.MissingIndicator, ": no prior for xxxxxxxxxxxxx...xxxxxxxxxxxxxx"),
     ("f.json", json.dumps({LONG: bpa_doc(mass=2.0), "B": bpa_doc()}),
      lambda p: load_bpa_fixtures(p, (LONG, "B")), errors.MassOutOfRange,
      ": xxxxxxxxxxxxx...xxxxxxxxxxxxxx: mass 2.0 on {H} outside [0, 1]"),
@@ -323,7 +334,8 @@ def experts_json(*experts, indicators=IDS):
         "matrix-cell", "indicator-not-utf8", "repeated-json-key",
         "unknown-indicator-fixture", "unknown-indicator-csv", "score-not-a-number",
         "already-scored-expert", "already-scored-indicator", "duplicate-prior",
-        "grade-name", "missing-long-id", "fixture-field", "missing-many-ids"])
+        "grade-name", "missing-long-id", "missing-long-prior", "fixture-field",
+        "missing-many-ids"])
 def test_a_long_value_from_a_file_is_echoed_bounded(tmp_path, name, data, load, error,
                                                     echo):
     p = write(tmp_path / name, data)

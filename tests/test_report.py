@@ -23,14 +23,26 @@ _FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]),
     st.floats())
 _INTS = st.one_of(st.sampled_from([2**64, 2**64 + 1, -(2**70), 10**30]), st.integers())
-# np.float64 and the IntEnum Label are float and int subclasses
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# np.float64 and the IntEnum Label are float and int subclasses; _Str and
+# _Dict take the writer's subclass branches, as a leaf, a key and an object
 _LEAVES = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none(),
-                    _FLOATS.map(np.float64), st.sampled_from(Label))
-_KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none())
+                    _FLOATS.map(np.float64), st.sampled_from(Label), _TEXT.map(_Str))
+_KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none(), _TEXT.map(_Str))
 _DOCS = st.recursive(
     _LEAVES,
     lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
-                               st.dictionaries(_KEYS, children)),
+                               st.dictionaries(_KEYS, children),
+                               st.dictionaries(_KEYS, children).map(_Dict)),
     max_leaves=40)
 
 
