@@ -22,7 +22,6 @@ from .errors import EvicritError, InconsistentMatrix, IoError
 from .evidence import murphy_combine
 from .fuzzy import OVERLAP_MODES
 from .pipeline import (
-    REPORT_FORMATS,
     PipelineConfig,
     fused_masses,
     ingest_matrices,
@@ -31,7 +30,7 @@ from .pipeline import (
     load_ri_table,
     run_pipeline,
 )
-from .report import _atomic_write, json_text
+from .report import REPORT_FORMATS, _atomic_write, json_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -99,15 +99,9 @@ def example_input_text(name: str) -> str:
 
 
 def export_example_inputs(dest: str | Path) -> dict[str, Path]:
-    """Copy the bundled example inputs into ``dest`` and return their paths."""
-    dest = Path(dest)
-    try:
-        dest.mkdir(parents=True, exist_ok=True)
-        out: dict[str, Path] = {}
-        for name in EXAMPLE_FILES:
-            target = dest / name
-            target.write_text(example_input_text(name), encoding="utf-8")
-            out[name] = target
-    except OSError as e:
-        raise IoError(f"cannot export example inputs to {dest}: {e}") from e
-    return out
+    """Copy the bundled example inputs into ``dest`` and return their paths;
+    each file is written by the rule of every output (see ``report``)."""
+    from .report import _atomic_write  # on first use: report imports this module
+
+    return {name: _atomic_write(Path(dest) / name, example_input_text(name))
+            for name in EXAMPLE_FILES}

@@ -153,8 +153,8 @@ class EntropyTable:
         header = tuple(next(reader))
         if header != ("indicator", *cls.COLUMNS):
             raise ValueError(f"unexpected header {header}")
-        # with the header in the strict zip, a row that lacks a cell is refused
-        (_, *ids), *cells = zip(header, *(row[:len(header)] for row in reader), strict=True)
+        # with the header in the strict zip, a row narrower or wider than it is refused
+        (_, *ids), *cells = zip(header, *reader, strict=True)
         # the columns after W may be empty; float("") refuses a partly filled one
         return cls(tuple(ids), *(None if j >= 3 and not any(values) else tuple(map(float, values))
                                  for j, (_, *values) in enumerate(cells)))

@@ -71,9 +71,6 @@ from .fuzzy import (
     to_bpa,
 )
 
-REPORT_FORMATS = ("text", "csv", "json")
-
-
 # --- configuration -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -96,6 +93,8 @@ class PipelineConfig:
     chart: str | Path | None = None
 
     def validated(self) -> "PipelineConfig":
+        from .report import REPORT_FORMATS  # on first use: `import evicrit` skips report
+
         number(self.alpha, ConfigError, "alpha: discount factor", 1.0)
         if self.overlap_mode not in OVERLAP_MODES:
             raise ConfigError(f"overlap_mode must be one of {OVERLAP_MODES}, "
@@ -173,7 +172,8 @@ def _collector_paused(loader):
 
 
 def _read_text(path: str | Path, digests: dict | None) -> str:
-    """The file's UTF-8 text without a leading BOM, newlines translated to "\\n".
+    """The file's UTF-8 text without a leading BOM; a CR stays a CR, so the
+    CSV readers, which end a line at CR, LF or CRLF, keep one inside quotes.
 
     The SHA-256 of the bytes read goes into ``digests`` under ``path``
     unless ``digests`` is None.
@@ -188,8 +188,6 @@ def _read_text(path: str | Path, digests: dict | None) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.removeprefix("\ufeff")
 
 
@@ -204,6 +202,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _read_json(path: str | Path, digests: dict | None):
     text = _read_text(path, digests)
+    if "\r" in text:  # json counts lines by "\n" alone
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
@@ -218,7 +218,7 @@ def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
     faulty line.
     """
     try:
-        rows = list(csv.reader(io.StringIO(text), strict=True))
+        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
     except csv.Error:
         return None
     body = [row for row in rows[1:] if row]
@@ -256,7 +256,7 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
     if pairs is not None:
         return pairs
     seen: dict[tuple[str, ...], int] = {}
-    reader = csv.reader(io.StringIO(text), strict=True)
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
         first = next(reader, None)
         if first != header:

@@ -2,7 +2,8 @@
 
 Renders the manifest's tables as text, CSV, or JSON files plus an optional
 grouped-bar SVG.  Identical manifests produce byte-identical outputs.  Every
-output file, the CLI's ``--out`` files included, goes through one write:
+file the package writes, the CLI's ``--out`` files and the example export
+included, goes through one write:
 
 * a regular file that already holds exactly the bytes to be written is left
   in place, with its inode, mtime and mode;
@@ -25,6 +26,7 @@ import os
 import secrets
 import stat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset
@@ -169,25 +171,37 @@ def _json_key(k) -> str:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The CSV encoding of every CSV output: a header row, then ``rows``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """The CSV encoding of every CSV output: a header row, then ``rows``,
+    each record ended by "\\n".
+
+    The csv module quotes a CR or LF in a field only when its line
+    terminator holds it, so the writer ends its records in "\\r\\n" and
+    each record it writes is cut back to "\\n".
+    """
+    records: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join([record[:-2] + "\n" for record in records])
 
 
 def write_manifest(manifest: "RunManifest", path: str | Path) -> Path:
     return _atomic_write(path, json_text(manifest.to_dict()))
 
 
-def _fusion_row_values(b: Bpa) -> list[float]:
-    """Masses under the fusion columns plus the spillover on anything else."""
+def _fusion_rows(manifest: "RunManifest") -> list[tuple]:
+    """The fusion table: (ids, masses, k) for each window, then the average,
+    whose ids are ("Average",) and whose k is None.  The masses are those under
+    ``FUSION_COLUMNS`` plus the spill-over on any other subset."""
     listed = {subset for _, subset in FUSION_COLUMNS}
-    values = [b.mass(subset) for _, subset in FUSION_COLUMNS]
-    other = math.fsum(m for s, m in b.focal() if s not in listed)
-    values.append(other)
-    return values
+
+    def masses(b: Bpa) -> list[float]:
+        return [*(b.mass(subset) for _, subset in FUSION_COLUMNS),
+                math.fsum(m for s, m in b.focal() if s not in listed)]
+
+    return [*((ids, masses(result.bpa), result.conflict_k)
+              for ids, result in zip(manifest.window_ids, manifest.window_results)),
+            (("Average",), masses(manifest.overall), None)]
 
 
 # --- text rendering -----------------------------------------------------------
@@ -223,24 +237,14 @@ def _render_text(manifest: "RunManifest") -> str:
     out.write("\n")
 
     out.write("Fusion\n")
-    labels = [", ".join(ids) for ids in manifest.window_ids]
-    label_width = max(len("combination"), max((len(l) for l in labels), default=0),
-                      len("Average")) + 2
-    head = f"  {'combination':<{label_width}}"
-    for name, _ in FUSION_COLUMNS:
-        head += f"{name:>8}"
-    head += f"{'other':>8}{'k':>8}\n"
-    out.write(head)
-    for label_text, result in zip(labels, manifest.window_results):
-        row = f"  {label_text:<{label_width}}"
-        for value in _fusion_row_values(result.bpa):
-            row += f"{value:>8.4f}"
-        row += f"{result.conflict_k:>8.4f}\n"
-        out.write(row)
-    row = f"  {'Average':<{label_width}}"
-    for value in _fusion_row_values(manifest.overall):
-        row += f"{value:>8.4f}"
-    out.write(row + f"{'':>8}\n\n")
+    rows = [(", ".join(ids), masses, k) for ids, masses, k in _fusion_rows(manifest)]
+    label_width = max(len("combination"), *(len(label) for label, _, _ in rows)) + 2
+    out.write(f"  {'combination':<{label_width}}"
+              + "".join(f"{name:>8}" for name, _ in FUSION_COLUMNS) + f"{'other':>8}{'k':>8}\n")
+    for label, masses, k in rows:
+        out.write(f"  {label:<{label_width}}" + "".join(f"{v:>8.4f}" for v in masses)
+                  + f"{'' if k is None else format(k, '.4f'):>8}\n")
+    out.write("\n")
 
     for key, ranking in manifest.rankings.items():
         out.write(f"Ranking by {ranking.note or key}\n")
@@ -260,12 +264,9 @@ def _render_ratings_csv(manifest: "RunManifest") -> str:
 
 
 def _render_fusion_csv(manifest: "RunManifest") -> str:
-    rows = [("+".join(ids), *(repr(v) for v in _fusion_row_values(result.bpa)),
-             repr(result.conflict_k))
-            for ids, result in zip(manifest.window_ids, manifest.window_results)]
-    rows.append(("Average", *(repr(v) for v in _fusion_row_values(manifest.overall)), ""))
-    return csv_text(("window", *(name for name, _ in FUSION_COLUMNS), "other",
-                      "conflict_k"), rows)
+    return csv_text(("window", *(name for name, _ in FUSION_COLUMNS), "other", "conflict_k"),
+                    (("+".join(ids), *map(repr, masses), "" if k is None else repr(k))
+                     for ids, masses, k in _fusion_rows(manifest)))
 
 
 def _render_ranking_csv(manifest: "RunManifest") -> str:
@@ -284,26 +285,23 @@ def _render_json(manifest: "RunManifest") -> str:
     return json_text(body)
 
 
+#: each report format's files, by name, with the renderer of each
+REPORT_FILES = {
+    "text": {"report.txt": _render_text},
+    "csv": {"entropy_table.csv": lambda manifest: manifest.entropy_table.to_csv(),
+            "ratings.csv": _render_ratings_csv,
+            "fusion.csv": _render_fusion_csv,
+            "ranking.csv": _render_ranking_csv},
+    "json": {"report.json": _render_json},
+}
+REPORT_FORMATS = tuple(REPORT_FILES)
+
+
 def emit_report(manifest: "RunManifest", fmt: str, out_dir: str | Path) -> list[Path]:
-    """Write the report files for one format; returns the written paths."""
-    out_dir = Path(out_dir)
-    written: list[Path] = []
-    if fmt == "text":
-        written.append(_atomic_write(out_dir / "report.txt", _render_text(manifest)))
-    elif fmt == "csv":
-        written.append(_atomic_write(out_dir / "entropy_table.csv",
-                                     manifest.entropy_table.to_csv()))
-        written.append(_atomic_write(out_dir / "ratings.csv",
-                                     _render_ratings_csv(manifest)))
-        written.append(_atomic_write(out_dir / "fusion.csv",
-                                     _render_fusion_csv(manifest)))
-        written.append(_atomic_write(out_dir / "ranking.csv",
-                                     _render_ranking_csv(manifest)))
-    elif fmt == "json":
-        written.append(_atomic_write(out_dir / "report.json", _render_json(manifest)))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    """Write the report files of ``fmt``, a key of ``REPORT_FILES``; returns
+    the written paths."""
+    return [_atomic_write(Path(out_dir) / name, render(manifest))
+            for name, render in REPORT_FILES[fmt].items()]
 
 
 # --- chart ------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def test_from_csv_refuses_a_partly_filled_prior_column():
         EntropyTable.from_csv(text)
 
 
+@pytest.mark.parametrize("row", ["A,0.5,0.5,1.0,", "A,0.5,0.5,1.0,,,EXTRA", "A,0.5,0.5,1.0,,,"],
+                         ids=["short", "wide", "wide-empty"])
+def test_from_csv_refuses_a_row_narrower_or_wider_than_the_header(row):
+    header = "indicator,E,d,W,lambda,W_adj\n"
+    assert EntropyTable.from_csv(header + "A,0.5,0.5,1.0,,\n").ids == ("A",)
+    with pytest.raises(ValueError):
+        EntropyTable.from_csv(header + row + "\n")
+
+
 def test_from_csv_reads_a_header_only_table_as_empty():
     assert EntropyTable.from_csv("indicator,E,d,W,lambda,W_adj\n") == EntropyTable(
         ids=(), entropy=(), div=(), weights=(), priors=None, adjusted=None)

@@ -368,6 +368,21 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_csv_line_numbers_are_the_same_for_every_line_end(tmp_path, end):
+    # a quoted CRLF is one line end, as it is between rows
+    p = write(tmp_path / "s.csv",
+              end.join(["expert_id,indicator,score", '"e\r\n1",A,5', "e2,B,five", ""]))
+    with pytest.raises(errors.ParseError) as exc:
+        ingest_scores(p, IDS)
+    assert str(exc.value) == f"{p}:4: score 'five' is not a number"
+
+
+def test_a_quoted_cr_is_part_of_its_id(tmp_path):
+    p = write(tmp_path / "p.csv", 'indicator,lambda\r\n"A\r",1\r\n"A\rB",2\r\n')
+    assert ingest_priors(p, ["A\r", "A\rB"]) == {"A\r": 1.0, "A\rB": 2.0}
+
+
 @pytest.mark.parametrize("name,loader,edit,where", [
     ("priors.csv", ingest_priors, lambda t: t.replace("B14,0.1833", 'B14,"0.1"5'),
      ":15: ',' expected after '\"'"),

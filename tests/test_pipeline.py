@@ -6,12 +6,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evicrit
 from evicrit import cli, errors
 from evicrit.core import FRAME, Subset
 from evicrit.datasets import (
@@ -538,6 +541,22 @@ def test_example_report_and_chart_are_pinned(inputs, tmp_path):
         "weights.svg": "651f385dc6eae2fd09afcfbece207e1ecc0bbe17bde0c2df3d7329c6e414410a"}
 
 
+def test_example_csv_and_json_reports_are_pinned(inputs, tmp_path):
+    # the four CSV tables and the JSON report, to the byte
+    digests = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        run_example(inputs, alpha=0.8, out_dir=out, fmt=fmt)
+        digests.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir() if path.name != "manifest.json"})
+    assert digests == {
+        "entropy_table.csv": "aa7d6ed5b597a1df8746784fc7984d135d6df017e99052b9dee599c84b8b0af5",
+        "ratings.csv": "9b1fde7e98491721c2cc17b9172d9bf89e1e808d4dc196850f4f3e5e6b5f0eed",
+        "fusion.csv": "e0f2ae3835a510e3ec849c81a1ab2702a7287781fbeaf7726f65f5d9490e908d",
+        "ranking.csv": "e2ec104bde6721151f2de30b8e57ebcaa68298a0e17a965028757148da35ea98",
+        "report.json": "2488ebbd0463c26ded1d4b9b4ab6a83f3b238a2ae65f82086e84d7e7e59836d8"}
+
+
 def test_chart_without_priors_draws_only_the_columns_it_has(inputs, tmp_path):
     # E, d and W per indicator: no zero-height lambda and W_adj bars, no key for them
     chart = tmp_path / "weights.svg"
@@ -765,6 +784,29 @@ def test_write_replaces_a_file_with_other_bytes(tmp_path, old):
     _atomic_write(path, "abcdefg\r")
     assert path.read_bytes() == b"abcdefg\r"
     assert path.stat().st_ino != ino
+
+
+def test_example_export_follows_the_write_rule(tmp_path):
+    # a rerun keeps every file; a failed write names its path and leaves no temp file
+    dest = tmp_path / "in"
+    paths = export_example_inputs(dest)
+    first = file_ids(dest)
+    assert sorted(first) == sorted(paths) and export_example_inputs(dest) == paths
+    assert file_ids(dest) == first
+    blocked = tmp_path / "blocked"
+    (blocked / "matrices.json").mkdir(parents=True)
+    with pytest.raises(errors.IoError, match=r"^cannot write .*matrices\.json: "):
+        export_example_inputs(blocked)
+    assert sorted(p.name for p in blocked.iterdir()) == ["matrices.json", "scores.csv"]
+
+
+def test_import_evicrit_loads_neither_report_nor_cli():
+    code = "import sys, evicrit; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(evicrit.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True).stdout.split()
+    assert "evicrit.pipeline" in loaded
+    assert "evicrit.report" not in loaded and "evicrit.cli" not in loaded
 
 
 def test_write_replaces_a_symlink_to_the_same_bytes(tmp_path):

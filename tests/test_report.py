@@ -1,6 +1,8 @@
 """The one JSON encoder: the bytes and errors of json.dumps(..., indent=2);
-the chart is well-formed XML whatever its ids."""
+the chart is well-formed XML whatever its ids, and every output gives its
+ids back as the inputs spelled them."""
 
+import csv
 import json
 import math
 import re
@@ -13,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evicrit.core import Label
+from evicrit.datasets import export_example_inputs
 from evicrit.entropy import DecisionMatrix, build_table
+from evicrit.pipeline import PipelineConfig, run_pipeline, windows
 from evicrit.report import emit_chart, json_text
 
 # non-ASCII, control, quote and backslash characters, then anything
@@ -105,3 +109,78 @@ def test_chart_parses_whatever_the_ids(tmp_path, ids):
     svg = "{http://www.w3.org/2000/svg}"
     labels = [t.text or "" for t in root.iter(f"{svg}text") if t.get("text-anchor") == "middle"]
     assert labels == [_NOT_XML_CHAR.sub("\ufffd", i) for i in ids]
+
+
+# --- ids through every output ------------------------------------------------------
+
+def renamed_example(dest, ids):
+    """The example inputs in ``dest`` with its 14 ids replaced by ``ids``."""
+    paths = export_example_inputs(dest)
+    doc = json.loads(paths["matrices.json"].read_text(encoding="utf-8"))
+    new = dict(zip(doc["indicators"], ids))
+    doc["indicators"] = list(ids)
+    paths["matrices.json"].write_text(json.dumps(doc), encoding="utf-8")
+    for name in ("scores.csv", "priors.csv"):  # the id is the next-to-last column
+        with open(paths[name], encoding="utf-8", newline="") as f:
+            rows = [[*row[:-2], new.get(row[-2], row[-2]), row[-1]] for row in csv.reader(f)]
+        with open(paths[name], "w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows(rows)
+    return paths
+
+
+def csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.reader(f, strict=True))[1:]
+
+
+def check_ids_come_back(tmp_path, ids):
+    """Run the renamed example in every format with a chart; every output
+    parses and holds the ids as the inputs spelled them."""
+    paths = renamed_example(tmp_path / "in", ids)
+    groups = ["+".join(w) for w in windows(ids, 4, 2)]
+    for fmt in ("text", "csv", "json"):
+        out = tmp_path / fmt
+        run_pipeline(PipelineConfig(
+            scores=paths["scores.csv"], matrices=paths["matrices.json"],
+            priors=paths["priors.csv"], ri_table=paths["ri.json"], alpha=0.8,
+            out_dir=out, fmt=fmt, chart=out / "weights.svg"))
+        docs = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))]
+        if fmt == "json":
+            docs.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+        for doc in docs:
+            assert [row["indicator"] for row in doc["entropy_table"]] == list(ids)
+            assert [row["indicator"] for row in doc["ratings"]] == list(ids)
+            assert ["+".join(w["indicators"]) for w in doc["fusion"]["windows"]] == groups
+            for key in ("weight", "adjusted_weight"):
+                assert sorted(e["id"] for e in doc["rankings"][key]["entries"]) == sorted(ids)
+        if fmt == "csv":
+            assert [row[0] for row in csv_rows(out / "entropy_table.csv")] == list(ids)
+            assert [row[0] for row in csv_rows(out / "ratings.csv")] == list(ids)
+            assert [row[0] for row in csv_rows(out / "fusion.csv")] == [*groups, "Average"]
+            ranked = csv_rows(out / "ranking.csv")
+            for key in ("weight", "adjusted_weight"):
+                assert sorted(row[2] for row in ranked if row[0] == key) == sorted(ids)
+        root = ElementTree.parse(out / "weights.svg").getroot()
+        labels = [t.text or "" for t in root.iter("{http://www.w3.org/2000/svg}text")
+                  if t.get("text-anchor") == "middle"]
+        assert labels == [_NOT_XML_CHAR.sub("\ufffd", i) for i in ids]
+
+
+def test_an_id_with_a_cr_comes_back_from_every_output(tmp_path):
+    # B1 as "B1\rx", its scores and prior correctly quoted
+    check_ids_come_back(tmp_path, ("B1\rx", *(f"B{i}" for i in range(2, 15))))
+
+
+# the characters CSV, JSON, XML and line splitting treat apart; no NUL, which
+# the csv module refuses, and no lone surrogate, which no UTF-8 file holds
+_ID_CHARS = st.one_of(
+    st.sampled_from(",\"'\n\r<&>+\t\u2028\ufeff\U0001f600"),
+    st.characters(min_codepoint=1, max_codepoint=31),
+    st.characters(min_codepoint=1))
+
+
+@given(ids=st.lists(st.text(_ID_CHARS, max_size=40), min_size=14, max_size=14, unique=True))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_any_ids_come_back_from_every_output(tmp_path_factory, ids):
+    check_ids_come_back(tmp_path_factory.mktemp("ids"), tuple(ids))
