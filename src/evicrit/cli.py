@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: evaluate (full pipeline), consistency (matrix gate only),
-weights (entropy weighting only), fuse (evidence fusion of stored
-assignments), selftest (fixture and oracle suite).
+Subcommands: evaluate (full pipeline), consistency (the pipeline up to its
+gate), weights (the pipeline up to entropy weighting), fuse (evidence fusion
+of stored assignments), selftest (fixture and oracle suite).
 
 Exit codes: 0 success, 1 validation error, 2 consistency-gate failure,
 3 I/O error.
@@ -15,21 +15,12 @@ import sys
 from dataclasses import fields
 
 from ._version import __version__
-from .ahp import CI_DENOMINATOR_MODES, aggregate_geometric, consistency
+from .ahp import CI_DENOMINATOR_MODES
 from .core import number_text
-from .entropy import DecisionMatrix, build_table
 from .errors import EvicritError, InconsistentMatrix, IoError
 from .evidence import murphy_combine
 from .fuzzy import OVERLAP_MODES
-from .pipeline import (
-    PipelineConfig,
-    fused_masses,
-    ingest_matrices,
-    ingest_priors,
-    load_bpa_list,
-    load_ri_table,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, fused_masses, load_bpa_list, run_pipeline
 from .report import REPORT_FORMATS, _atomic_write, json_text
 
 EXIT_OK = 0
@@ -64,14 +55,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    ev = sub.add_parser("evaluate", help="run the full pipeline")
+    # each flag is defined once, in a group per stage; a subcommand takes
+    # the groups of the stages it runs
+    gate = argparse.ArgumentParser(add_help=False)
+    gate.add_argument("--matrices", required=True,
+                      help="JSON of expert pairwise matrices")
+    gate.add_argument("--ci-denominator", choices=CI_DENOMINATOR_MODES,
+                      default=PipelineConfig.ci_denominator,
+                      help="CI denominator: n or n-1")
+    gate.add_argument("--ri-table",
+                      help="JSON random-index overrides (order -> RI); "
+                           "needed above order 10")
+    weighting = argparse.ArgumentParser(add_help=False)
+    weighting.add_argument("--priors",
+                           help="CSV of prior weights (indicator,lambda); adds "
+                                "the adjusted weights")
+    weighting.add_argument("--force", action="store_true",
+                           help="proceed past a failed consistency gate")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output here instead of stdout")
+
+    ev = sub.add_parser("evaluate", parents=[gate, weighting],
+                        help="run the full pipeline")
     ev.add_argument("--scores", required=True,
                     help="CSV of expert scores (expert_id,indicator,score)")
-    ev.add_argument("--matrices", required=True,
-                    help="JSON of expert pairwise matrices")
-    ev.add_argument("--priors",
-                    help="CSV of prior weights (indicator,lambda); adds the "
-                         "adjusted-weight ranking")
     ev.add_argument("--bpa-fixtures",
                     help="JSON of per-indicator mass functions; replaces "
                          "score fuzzification in the fusion stage")
@@ -81,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=PipelineConfig.overlap_mode,
                     help="where held-back mass goes: the active adjacent "
                          "pair, or always the whole frame")
-    ev.add_argument("--ci-denominator", choices=CI_DENOMINATOR_MODES,
-                    default=PipelineConfig.ci_denominator,
-                    help="CI denominator: n or n-1")
-    ev.add_argument("--ri-table",
-                    help="JSON random-index overrides (order -> RI)")
     ev.add_argument("--window", type=_text_rule(int), default=PipelineConfig.window,
                     help="fusion window width (default %(default)s)")
     ev.add_argument("--stride", type=_text_rule(int), default=PipelineConfig.stride,
@@ -94,25 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", choices=REPORT_FORMATS, default=PipelineConfig.fmt,
                     dest="fmt", help="report format (default %(default)s)")
     ev.add_argument("--chart", help="write a grouped-bar SVG to this path")
-    ev.add_argument("--force", action="store_true",
-                    help="proceed past a failed consistency gate")
 
-    co = sub.add_parser("consistency", help="aggregate matrices and gate them")
-    co.add_argument("--matrices", required=True)
-    co.add_argument("--ci-denominator", choices=CI_DENOMINATOR_MODES,
-                    default=PipelineConfig.ci_denominator)
-    co.add_argument("--ri-table")
+    sub.add_parser("consistency", parents=[gate],
+                   help="aggregate matrices and gate them")
+    sub.add_parser("weights", parents=[gate, weighting, out],
+                   help="entropy weighting of the gated aggregate")
 
-    we = sub.add_parser("weights", help="entropy weighting of the aggregated matrix")
-    we.add_argument("--matrices", required=True)
-    we.add_argument("--priors")
-    we.add_argument("--out", help="write the CSV here instead of stdout")
-
-    fu = sub.add_parser("fuse", help="combine stored mass functions "
-                                     "(averaging rule)")
+    fu = sub.add_parser("fuse", parents=[out],
+                        help="combine stored mass functions (averaging rule)")
     fu.add_argument("--bpas", required=True,
                     help='JSON list of BPA objects (or {"bpas": [...]})')
-    fu.add_argument("--out", help="write the result JSON here instead of stdout")
 
     sub.add_parser("selftest", help="run the fixture and oracle suite")
     return parser
@@ -127,9 +120,17 @@ def _output(text: str, out: str | None, what: str):
         sys.stdout.write(text)
 
 
+def _config(args) -> PipelineConfig:
+    """The run's config from the subcommand's flags; a setting whose flag the
+    subcommand does not list keeps its default, and scores are None there."""
+    given = vars(args)
+    return PipelineConfig(**{"scores": None, **{f.name: given[f.name]
+                                                for f in fields(PipelineConfig)
+                                                if f.name in given}})
+
+
 def _cmd_evaluate(args) -> int:
-    manifest = run_pipeline(PipelineConfig(
-        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}))
+    manifest = run_pipeline(_config(args))
     rep = manifest.consistency_report
     print(f"consistency: CR={rep.cr:.4f} ({rep.denominator_mode}) "
           f"acceptable={'yes' if rep.acceptable else 'no (forced)'}")
@@ -149,20 +150,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
-    _, experts = ingest_matrices(args.matrices)
-    aggregated = aggregate_geometric([m for _, m in experts])
-    ri_table = None if args.ri_table is None else load_ri_table(args.ri_table)
-    report = consistency(aggregated, ri_table=ri_table,
-                         denominator_mode=args.ci_denominator)
+    try:
+        report = run_pipeline(_config(args), _last_stage="consistency")
+    except InconsistentMatrix as e:
+        report = e.report
     sys.stdout.write(json_text(report.to_dict()))
     return EXIT_OK if report.acceptable else EXIT_INCONSISTENT
 
 
 def _cmd_weights(args) -> int:
-    ids, experts = ingest_matrices(args.matrices)
-    aggregated = aggregate_geometric([m for _, m in experts])
-    priors = ingest_priors(args.priors, ids) if args.priors else None
-    table = build_table(DecisionMatrix(aggregated.values, ids), priors=priors)
+    table = run_pipeline(_config(args), _last_stage="weighting")
     _output(table.to_csv(), args.out, "weights")
     return EXIT_OK
 

@@ -114,7 +114,7 @@ class PipelineConfig:
         for name in ("scores", "matrices", "priors", "bpa_fixtures", "ri_table",
                      "out_dir", "chart"):
             value = getattr(self, name)
-            if value is None and name not in ("scores", "matrices"):
+            if value is None and name != "matrices":  # run_pipeline needs scores to fuzzify
                 continue
             if not isinstance(value, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a path, got {value!r}")
@@ -558,16 +558,25 @@ def _stage(name: str, timings: dict[str, float]):
 
 # --- the run -------------------------------------------------------------------
 
-def run_pipeline(config: PipelineConfig) -> RunManifest:
+def run_pipeline(config: PipelineConfig, *, _last_stage: str = "emit") -> RunManifest:
     """Execute ingestion, weighting, fuzzification, fusion, and ranking.
 
     Aborts with InconsistentMatrix when the aggregated judgments fail the
     consistency gate, unless ``config.force`` is set.  When ``out_dir`` is
     configured, the manifest and report files are written as well.
+
+    ``_last_stage`` "consistency" or "weighting" ends the run after that
+    stage and returns its ConsistencyReport or EntropyTable instead; such a
+    run reads no scores and no BPA fixtures, and one that ends at
+    "consistency" no priors.
     """
     from . import report as report_mod
 
     config = config.validated()
+    weighs = _last_stage != "consistency"
+    fuzzifies = _last_stage == "emit"
+    if fuzzifies and config.scores is None:
+        raise ConfigError("scores must be a path, got None")
     timings: dict[str, float] = {}
 
     digests: dict = {}  # input path -> SHA-256 of the bytes parsed from it
@@ -575,23 +584,17 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         # the matrices file names the run's indicators; every other input
         # must cover exactly those ids
         ids, experts = ingest_matrices(config.matrices, digests=digests)
-        scores = ingest_scores(config.scores, ids, digests=digests)
+        if fuzzifies:
+            scores = ingest_scores(config.scores, ids, digests=digests)
         priors = None
-        if config.priors is not None:
+        if weighs and config.priors is not None:
             priors = ingest_priors(config.priors, ids, digests=digests)
         ri_table = None
         if config.ri_table is not None:
             ri_table = load_ri_table(config.ri_table, digests=digests)
         fixtures = None
-        if config.bpa_fixtures is not None:
+        if fuzzifies and config.bpa_fixtures is not None:
             fixtures = load_bpa_fixtures(config.bpa_fixtures, ids, digests=digests)
-    inputs = {name: {"path": str(path), "sha256": digests[path]}
-              for name, path in (("scores", config.scores),
-                                 ("matrices", config.matrices),
-                                 ("priors", config.priors),
-                                 ("ri_table", config.ri_table),
-                                 ("bpa_fixtures", config.bpa_fixtures))
-              if path is not None}
 
     with _stage("aggregate", timings):
         aggregated = aggregate_geometric([m for _, m in experts])
@@ -605,10 +608,14 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 f"{report.cr:.4f} >= {CR_THRESHOLD} (lambda_max = "
                 f"{report.lambda_max:.6f}); rerun with --force to proceed",
                 report=report)
+    if not weighs:
+        return report
 
     with _stage("weighting", timings):
         decision = DecisionMatrix(aggregated.values, ids)
         table = build_table(decision, priors=priors)
+    if not fuzzifies:
+        return table
 
     with _stage("fuzzify", timings):
         ratings = []
@@ -645,7 +652,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     manifest = RunManifest(
         version=__version__,
-        inputs=inputs,
+        inputs={name: {"path": str(path), "sha256": digests[path]}
+                for name, path in (("scores", config.scores),
+                                   ("matrices", config.matrices),
+                                   ("priors", config.priors),
+                                   ("ri_table", config.ri_table),
+                                   ("bpa_fixtures", config.bpa_fixtures))
+                if path is not None},
         config={
             "alpha": number(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
             "overlap_mode": config.overlap_mode,

@@ -16,6 +16,7 @@ import pytest
 
 import evicrit
 from evicrit import cli, errors
+from evicrit.ahp import CR_THRESHOLD
 from evicrit.core import FRAME, Subset
 from evicrit.datasets import (
     example_input_text,
@@ -706,7 +707,7 @@ def test_writes_take_a_name_of_up_to_name_max_bytes(inputs, tmp_path, capsys, vi
         assert path.read_text() == "data\n"
     else:
         argv = ["weights", "--matrices", str(inputs["matrices.json"]),
-                "--priors", str(inputs["priors.csv"])]
+                "--priors", str(inputs["priors.csv"]), "--ri-table", str(inputs["ri.json"])]
         assert cli.run(argv) == 0
         stdout = capsys.readouterr().out
         assert cli.run([*argv, "--out", str(path)]) == 0
@@ -838,7 +839,8 @@ def test_cli_out_files_are_kept_on_identical_reruns(inputs, tmp_path, capsys):
     bpa_path = write(tmp_path / "bpas.json", json.dumps(bpas))
     out = tmp_path / "out"
     commands = (["weights", "--matrices", str(inputs["matrices.json"]),
-                 "--priors", str(inputs["priors.csv"]), "--out", str(out / "w.csv")],
+                 "--priors", str(inputs["priors.csv"]), "--ri-table", str(inputs["ri.json"]),
+                 "--out", str(out / "w.csv")],
                 ["fuse", "--bpas", str(bpa_path), "--out", str(out / "fused.json")])
     for argv in commands:
         assert cli.run(argv) == 0
@@ -1009,10 +1011,106 @@ def test_cli_evaluate_inconsistent_exits_2(inputs, tmp_path, capsys):
 
 def test_cli_weights_subcommand(inputs, capsys):
     code = cli.run(["weights", "--matrices", str(inputs["matrices.json"]),
-                    "--priors", str(inputs["priors.csv"])])
+                    "--priors", str(inputs["priors.csv"]), "--ri-table", str(inputs["ri.json"])])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("indicator,E,d,W,lambda,W_adj")
+
+
+def test_consistency_and_weights_print_what_evaluate_writes(inputs, tmp_path, capsys):
+    # both subcommands run evaluate's own first stages, so they print the
+    # consistency section of its manifest and its entropy_table.csv
+    out = tmp_path / "out"
+    assert cli.run(["evaluate", *cli_inputs(inputs), "--format", "csv",
+                    "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    matrices, ri = ["--matrices", str(inputs["matrices.json"])], ["--ri-table", str(inputs["ri.json"])]
+    assert cli.run(["weights", *matrices, "--priors", str(inputs["priors.csv"]), *ri]) == 0
+    assert capsys.readouterr().out.encode() == (out / "entropy_table.csv").read_bytes()
+    assert cli.run(["consistency", *matrices, *ri]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert capsys.readouterr().out == json_text(manifest["consistency"])
+
+
+def subcommand_runs(tmp_path, capsys, matrices, *options):
+    """(exit code, stderr) of evaluate, consistency and weights on ``matrices``,
+    evaluate with a scores file that covers its ids."""
+    ids = json.loads(matrices.read_text())["indicators"]
+    scores = write(tmp_path / "scores.csv",
+                   "expert_id,indicator,score\n" + "".join(f"e1,{i},5\n" for i in ids))
+    runs = []
+    for argv in (["evaluate", "--scores", str(scores)], ["consistency"], ["weights"]):
+        code = cli.run([*argv, "--matrices", str(matrices), *options])
+        runs.append((code, capsys.readouterr().err))
+    return runs
+
+
+def test_gate_rejects_a_cr_equal_to_the_threshold(inputs, tmp_path, capsys):
+    # the gate passes CR < 0.1 (Saaty 1980): an RI override for order 14 that
+    # puts the example's CR exactly on the threshold fails it in all three
+    ci = run_example(inputs).consistency_report.ci
+    ri = ci / CR_THRESHOLD
+    for _ in range(100):
+        if ci / ri == CR_THRESHOLD:
+            break
+        ri = math.nextafter(ri, math.inf if ci / ri > CR_THRESHOLD else 0.0)
+    ri_path = write(tmp_path / "ri.json", json.dumps({"14": ri}))
+    report = run_example(inputs, ri_table=ri_path, force=True).consistency_report
+    assert report.cr == CR_THRESHOLD and not report.acceptable
+    runs = subcommand_runs(tmp_path, capsys, inputs["matrices.json"], "--ri-table", str(ri_path))
+    assert [code for code, _ in runs] == [2, 2, 2]
+
+
+def test_a_three_cycle_fails_the_gate_unless_weights_is_forced(tmp_path, capsys):
+    doc = {"indicators": ["A", "B", "C"],
+           "experts": [{"id": "e1", "matrix": [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]}]}
+    matrices = write(tmp_path / "cycle.json", json.dumps(doc))
+    (evaluate, _), (consistency, _), (weights, err) = subcommand_runs(tmp_path, capsys, matrices)
+    assert (evaluate, consistency, weights) == (2, 2, 2)
+    assert err.startswith("evicrit: error [stage: consistency]: aggregated matrix fails "
+                          "the consistency gate: CR = 4.0868 >= 0.1")
+    assert cli.run(["weights", "--matrices", str(matrices), "--force"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [repr(1 / 3)] * 3
+
+
+def test_a_stalled_power_iteration_is_one_verdict_in_every_subcommand(tmp_path, capsys):
+    # a valid matrix whose eigenvalue moduli (1001.001 and 999.4999 twice)
+    # need about 18,000 power steps, past the cap of 10,000; the certified
+    # bracket of ROADMAP item 6 will turn this verdict into exit 2 (CR about 574)
+    doc = {"indicators": ["A", "B", "C"],
+           "experts": [{"id": "e1", "matrix": [[1, 10, 1e-4], [0.1, 1, 1e4], [1e4, 1e-4, 1]]}]}
+    runs = subcommand_runs(tmp_path, capsys, write(tmp_path / "m.json", json.dumps(doc)))
+    assert runs == [runs[0]] * 3
+    code, err = runs[0]
+    assert code == 1
+    assert err.startswith("evicrit: error [stage: consistency]: power iteration did not "
+                          "converge in 10000 iterations")
+
+
+def test_subcommand_errors_name_their_stage(inputs, tmp_path, capsys):
+    # consistency reads the RI table in ingest, before the aggregate
+    bad_ri = write(tmp_path / "ri.json", '{"014": 1.57}')
+    assert cli.run(["consistency", "--matrices", str(inputs["matrices.json"]),
+                    "--ri-table", str(bad_ri)]) == 1
+    assert capsys.readouterr().err == (f"evicrit: error [stage: ingest]: {bad_ri}: "
+                                       f"bad RI entry '014': 1.57\n")
+    # above order 10 weights needs an RI override, as evaluate does
+    assert cli.run(["weights", "--matrices", str(inputs["matrices.json"])]) == 1
+    assert capsys.readouterr().err == ("evicrit: error [stage: consistency]: "
+                                       "no random index for order 14\n")
+
+
+def test_a_run_that_stops_before_fuzzify_reads_no_scores(inputs, tmp_path):
+    full = run_example(inputs)
+    for scores in (None, tmp_path / "no-scores.csv"):
+        config = PipelineConfig(scores=scores, matrices=inputs["matrices.json"],
+                                priors=inputs["priors.csv"], ri_table=inputs["ri.json"])
+        assert run_pipeline(config, _last_stage="consistency") == full.consistency_report
+        assert run_pipeline(config, _last_stage="weighting") == full.entropy_table
+    # a run that fuzzifies refuses a config without scores before any input is read
+    with pytest.raises(errors.ConfigError, match="scores must be a path, got None"):
+        run_pipeline(PipelineConfig(scores=None, matrices=tmp_path / "no-matrices.json"))
 
 
 def test_cli_fuse_subcommand(tmp_path, capsys):
