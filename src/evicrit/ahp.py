@@ -38,6 +38,12 @@ CR_THRESHOLD = 0.1
 CI_DENOMINATOR_MODES = ("paper", "standard")
 
 
+def valid_ri(order: int, ri: float) -> bool:
+    """The random-index rule: orders 1 and 2 take 0 or a positive finite RI,
+    a higher order a positive finite RI, because CR = CI / RI."""
+    return 0.0 < ri < math.inf or (ri == 0.0 and order <= 2)
+
+
 @dataclass(frozen=True, eq=False)
 class PairwiseMatrix:
     """A positive reciprocal judgment matrix (a_ij = 1/a_ji, unit diagonal)."""
@@ -243,8 +249,8 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     """Consistency report: CI = (lambda_max - n) / denominator, CR = CI / RI.
 
     ``denominator_mode`` picks the CI denominator: "paper" divides by n,
-    "standard" by n - 1.  Orders 1 and 2 are always consistent (CR = 0);
-    a higher order needs a positive finite RI, else MissingRI.
+    "standard" by n - 1.  Orders 1 and 2 are always consistent (CR = 0).
+    An RI outside ``valid_ri`` is MissingRI.
     """
     if denominator_mode not in CI_DENOMINATOR_MODES:
         raise ValueError(f"denominator_mode must be one of {CI_DENOMINATOR_MODES}, "
@@ -254,9 +260,9 @@ def consistency(m: PairwiseMatrix, ri_table: Mapping[int, float] | None = None,
     if n not in table:
         raise MissingRI(f"no random index for order {n}")
     ri = number(table[n], MissingRI, f"random index for order {n}")
-    if n > 2 and not 0.0 < ri < math.inf:
-        raise MissingRI(f"random index for order {n} must be positive and "
-                        f"finite, got {ri!r}")
+    if not valid_ri(n, ri):
+        allowed = "0 or positive and finite" if n <= 2 else "positive and finite"
+        raise MissingRI(f"random index for order {n} must be {allowed}, got {ri!r}")
     lambda_max = principal_eigenvalue(m)
     denominator = n if denominator_mode == "paper" else n - 1
     ci = (lambda_max - n) / denominator

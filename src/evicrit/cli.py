@@ -197,6 +197,3 @@ def run(argv=None) -> int:
         return (EXIT_INCONSISTENT if isinstance(e, InconsistentMatrix)
                 else EXIT_IO if isinstance(e, IoError) else EXIT_VALIDATION)
 
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -38,6 +38,7 @@ from .ahp import (
     aggregate_geometric,
     consistency,
     pairwise_matrices,
+    valid_ri,
 )
 from .core import (
     JSON_NUMBER_TYPES,
@@ -75,9 +76,13 @@ from .fuzzy import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything an `evaluate` run needs; immutable once built."""
+    """The inputs and settings of a pipeline run; immutable once built.
 
-    scores: str | Path
+    ``scores`` may be None for a run that stops before fuzzify, as the
+    ``consistency`` and ``weights`` subcommands do; ``run_pipeline`` refuses
+    None for a run that goes on to fuzzify."""
+
+    scores: str | Path | None
     matrices: str | Path
     priors: str | Path | None = None
     bpa_fixtures: str | Path | None = None
@@ -433,11 +438,8 @@ def ingest_priors(path: str | Path, ids: Sequence[str], *,
 @_collector_paused
 def load_ri_table(path: str | Path, *, digests: dict | None = None
                   ) -> dict[int, float]:
-    """The built-in random indices updated from a JSON object order -> RI.
-
-    Orders 1 and 2 may have RI 0; any higher order needs a positive finite
-    RI, because CR = CI / RI.
-    """
+    """The built-in random indices updated from a JSON object order -> RI,
+    each entry held to ``ahp.valid_ri``."""
     doc = _read_json(path, digests)
     if not isinstance(doc, dict):
         raise ParseError("RI table must be a JSON object")
@@ -450,7 +452,7 @@ def load_ri_table(path: str | Path, *, digests: dict | None = None
             order = None
         # one spelling per order: ASCII digits with no leading zero
         if (order is None or not key.isascii() or not key.isdigit() or key.startswith("0")
-                or not (0.0 < ri < math.inf or (ri == 0.0 and order <= 2))):
+                or not valid_ri(order, ri)):
             raise ParseError(f"bad RI entry {reprlib.repr(key)}: {reprlib.repr(value)}")
         table[order] = ri
     return table

@@ -513,6 +513,22 @@ def test_consistency_rejects_nonpositive_ri():
     assert consistency(two, ri_table={2: 0.0}).cr == 0.0
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_consistency_holds_every_order_to_the_ri_rule(order):
+    # the rule load_ri_table applies; a NaN or infinite RI let through here
+    # would reach the report's JSON as NaN or Infinity, which are not JSON
+    m = PairwiseMatrix(np.ones((order, order)))
+    for ri in (-5.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(errors.MissingRI, match=f"^random index for order {order} must be"):
+            consistency(m, ri_table={order: ri})
+    assert consistency(m, ri_table={order: 1.5}).cr == 0.0
+    if order <= 2:
+        assert consistency(m, ri_table={order: 0.0}).ri == 0.0
+    else:
+        with pytest.raises(errors.MissingRI, match="must be positive and finite, got 0.0$"):
+            consistency(m, ri_table={order: 0.0})
+
+
 def test_consistency_ri_override():
     rng = np.random.default_rng(9)
     m = random_reciprocal(rng, 3)

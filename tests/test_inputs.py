@@ -346,6 +346,29 @@ def test_a_long_value_from_a_file_is_echoed_bounded(tmp_path, name, data, load, 
     assert len(str(exc.value)) < 200
 
 
+def score_11_on_line_3(example):
+    lines = example["scores.csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",11\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("matrices.json", lambda _: experts_json((LONG, GOOD), (LONG, GOOD)),
+     f"duplicate expert id {ECHO}"),
+    ("matrices.json", lambda _: experts_json(("e0", [[1, 2], [1, 1]]), ("e1", [[1, True], [1, 1]])),
+     "expert 'e0': reciprocity violated at (1,2)/(2,1)"),
+    ("scores.csv", score_11_on_line_3, "scores.csv:3: score 11.0 outside [0, 10]"),
+], ids=["long-duplicate-id", "first-faulty-expert", "score-out-of-range"])
+def test_cli_refusal_is_one_bounded_line(tmp_path, capsys, example, name, data, message):
+    # exit 1 and one line on stderr: the stage, the file, then the loader's message
+    p = write(tmp_path / name, data(example))
+    assert cli.run(cli_argv(name, p, example)) == 1
+    err = capsys.readouterr().err
+    head = f"evicrit: error [stage: ingest]: {p}"
+    assert err.startswith(head) and err.endswith("\n") and err.count("\n") == 1
+    assert message in err and len(err) - len(head) < 200
+
+
 @pytest.mark.parametrize("loader,doc,key", [
     (ingest_matrices, {**matrices_doc(), "indicators": "AB"}, '"indicators"'),
     (ingest_matrices, {**matrices_doc(), "experts": {"e1": 1}}, '"experts"'),

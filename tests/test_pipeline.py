@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 import evicrit
 from evicrit import cli, errors
 from evicrit.ahp import CR_THRESHOLD
-from evicrit.core import FRAME, Subset
+from evicrit.core import FRAME, Subset, bpa_to_dict
 from evicrit.datasets import (
     example_input_text,
     export_example_inputs,
@@ -175,7 +176,7 @@ def test_load_ri_table(inputs, tmp_path):
     # the built-in orders stay; an RI of 0 is only valid where CR is always 0
     assert table[3] == 0.58
     assert load_ri_table(write(tmp_path / "ri3.json", '{"2": 0}'))[2] == 0.0
-    for bad in ('{"14": 0}', '{"3": 0.0}', '{"14": Infinity}'):
+    for bad in ('{"14": 0}', '{"3": 0.0}', '{"14": Infinity}', '{"2": -5}'):
         with pytest.raises(errors.ParseError):
             load_ri_table(write(tmp_path / "ri4.json", bad))
 
@@ -699,15 +700,20 @@ def test_write_to_a_path_with_a_nul_is_an_io_error(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("via", ["write", "weights-out"])
+@pytest.mark.parametrize("via", ["write", "weights-out", "fuse-out"])
 def test_writes_take_a_name_of_up_to_name_max_bytes(inputs, tmp_path, capsys, via):
     path = tmp_path / "out" / ("a" * 246 + ".csv")  # 250 bytes
     if via == "write":
         _atomic_write(path, "data\n")
         assert path.read_text() == "data\n"
     else:
-        argv = ["weights", "--matrices", str(inputs["matrices.json"]),
-                "--priors", str(inputs["priors.csv"]), "--ri-table", str(inputs["ri.json"])]
+        # --out writes the bytes the subcommand prints
+        if via == "weights-out":
+            argv = ["weights", "--matrices", str(inputs["matrices.json"]),
+                    "--priors", str(inputs["priors.csv"]), "--ri-table", str(inputs["ri.json"])]
+        else:
+            bpas = {"bpas": [bpa_to_dict(b) for _, b in reference_fusion().windows]}
+            argv = ["fuse", "--bpas", str(write(tmp_path / "bpas.json", json.dumps(bpas)))]
         assert cli.run(argv) == 0
         stdout = capsys.readouterr().out
         assert cli.run([*argv, "--out", str(path)]) == 0
@@ -1169,3 +1175,12 @@ def test_cli_version(capsys):
         cli.run(["--version"])
     assert exc.value.code == 0
     assert "evicrit" in capsys.readouterr().out
+
+
+def test_the_installed_version_is_the_package_version():
+    # the build reads the version from evicrit._version, so the two agree
+    try:
+        installed = importlib.metadata.version("evicrit")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no evicrit distribution is installed")
+    assert installed == evicrit.__version__

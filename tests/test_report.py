@@ -171,6 +171,12 @@ def test_an_id_with_a_cr_comes_back_from_every_output(tmp_path):
     check_ids_come_back(tmp_path, ("B1\rx", *(f"B{i}" for i in range(2, 15))))
 
 
+def test_ids_with_markup_and_a_c0_control_come_back_from_every_output(tmp_path):
+    # "B1<&" is escaped in the chart; XML 1.0 holds no U+0001 even as a
+    # reference, so "B2\x01" is drawn as "B2\ufffd"
+    check_ids_come_back(tmp_path, ("B1<&", "B2\x01", *(f"B{i}" for i in range(3, 15))))
+
+
 # the characters CSV, JSON, XML and line splitting treat apart; no NUL, which
 # the csv module refuses, and no lone surrogate, which no UTF-8 file holds
 _ID_CHARS = st.one_of(
