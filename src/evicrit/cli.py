@@ -20,7 +20,7 @@ from .core import number_text
 from .errors import EvicritError, InconsistentMatrix, IoError
 from .evidence import murphy_combine
 from .fuzzy import OVERLAP_MODES
-from .pipeline import PipelineConfig, fused_masses, load_bpa_list, run_pipeline
+from .pipeline import PipelineConfig, _check_outputs, fused_masses, load_bpa_list, run_pipeline
 from .report import REPORT_FORMATS, _atomic_write, json_text
 
 EXIT_OK = 0
@@ -150,21 +150,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
-    try:
-        report = run_pipeline(_config(args), _last_stage="consistency")
-    except InconsistentMatrix as e:
-        report = e.report
+    report = run_pipeline(_config(args), _last_stage="consistency")
     sys.stdout.write(json_text(report.to_dict()))
     return EXIT_OK if report.acceptable else EXIT_INCONSISTENT
 
 
 def _cmd_weights(args) -> int:
-    table = run_pipeline(_config(args), _last_stage="weighting")
+    config = _config(args)
+    _check_outputs(config.inputs(), {"out": args.out})
+    table = run_pipeline(config, _last_stage="weighting")
     _output(table.to_csv(), args.out, "weights")
     return EXIT_OK
 
 
 def _cmd_fuse(args) -> int:
+    _check_outputs({"bpas": args.bpas}, {"out": args.out})
     bpas = load_bpa_list(args.bpas)
     result = murphy_combine(bpas)
     _output(json_text({"conflict_k": result.conflict_k, **fused_masses(result.bpa)}),

@@ -36,7 +36,8 @@ JSON_NUMBER_TYPES: tuple[type, ...] = (int, float)
 
 def number(value, error=None, what: str = "", high: float | None = None) -> float:
     """``value`` as a float if it is a number, else TypeError, or OverflowError
-    for an int beyond float.  A number is a ``numbers.Real`` but not a bool.
+    for an int beyond float.  A number is a ``numbers.Real`` but not a bool;
+    -0 is read as 0, so each value has one float and one printed text.
     Given an ``error`` class, either refusal is ``error("<what>: <reason>")``,
     which echoes the value bounded by ``reprlib.repr``.  Given ``high`` too,
     a value outside [0, high], NaN included, is ``error("<what> <x> outside
@@ -46,7 +47,7 @@ def number(value, error=None, what: str = "", high: float | None = None) -> floa
         if type(value) not in JSON_NUMBER_TYPES and (
                 not isinstance(value, numbers.Real) or isinstance(value, bool)):
             raise TypeError(f"{reprlib.repr(value)} is not a number")
-        x = float(value)
+        x = float(value) + 0.0
     except (TypeError, OverflowError) as e:
         if error is None:
             raise

@@ -20,8 +20,9 @@ import math
 import os
 import reprlib
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -80,7 +81,9 @@ class PipelineConfig:
 
     ``scores`` may be None for a run that stops before fuzzify, as the
     ``consistency`` and ``weights`` subcommands do; ``run_pipeline`` refuses
-    None for a run that goes on to fuzzify."""
+    None for a run that goes on to fuzzify.  ``validated()`` returns the copy
+    a run uses: ``alpha`` the float ``core.number`` gives, ``window`` and
+    ``stride`` the ints ``core.count`` gives."""
 
     scores: str | Path | None
     matrices: str | Path
@@ -98,9 +101,10 @@ class PipelineConfig:
     chart: str | Path | None = None
 
     def validated(self) -> "PipelineConfig":
-        from .report import REPORT_FORMATS  # on first use: `import evicrit` skips report
+        # on first use: `import evicrit` skips report
+        from .report import REPORT_FILES, REPORT_FORMATS
 
-        number(self.alpha, ConfigError, "alpha: discount factor", 1.0)
+        alpha = number(self.alpha, ConfigError, "alpha: discount factor", 1.0)
         if self.overlap_mode not in OVERLAP_MODES:
             raise ConfigError(f"overlap_mode must be one of {OVERLAP_MODES}, "
                               f"got {self.overlap_mode!r}")
@@ -110,8 +114,9 @@ class PipelineConfig:
         if self.fmt not in REPORT_FORMATS:
             raise ConfigError(f"format must be one of {REPORT_FORMATS}, "
                               f"got {self.fmt!r}")
-        for name in ("window", "stride"):
-            value = count(getattr(self, name), ConfigError, name)
+        counts = {name: count(getattr(self, name), ConfigError, name)
+                  for name in ("window", "stride")}
+        for name, value in counts.items():
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if not isinstance(self.force, bool):
@@ -123,7 +128,29 @@ class PipelineConfig:
                 continue
             if not isinstance(value, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a path, got {value!r}")
-        return self
+        out_files = () if self.out_dir is None else (*REPORT_FILES[self.fmt], "manifest.json")
+        outputs = {f"{name} in out_dir": os.path.join(self.out_dir, name) for name in out_files}
+        _check_outputs(self.inputs(), {**outputs, "chart": self.chart})
+        return replace(self, alpha=alpha, **counts)
+
+    def inputs(self) -> dict[str, str | Path]:
+        """The input paths given, by setting name, in the manifest's order."""
+        return {name: getattr(self, name) for name in
+                ("scores", "matrices", "priors", "ri_table", "bpa_fixtures")
+                if getattr(self, name) is not None}
+
+
+def _check_outputs(inputs: dict, outputs: dict) -> None:
+    """ConfigError naming both roles when an output path (None for none) is
+    another output's or an input's.  Paths are compared as
+    ``os.path.abspath`` spells them, which reads no file, so two spellings
+    of one file through a symlink are not caught."""
+    taken = {os.path.abspath(path): role for role, path in inputs.items()}
+    for role, path in outputs.items():
+        if path is not None:
+            other = taken.setdefault(os.path.abspath(path), role)
+            if other != role:
+                raise ConfigError(f"{role} and {other} are one path")
 
 
 def windows(ids: Sequence[str], window: int, stride: int) -> tuple[tuple[str, ...], ...]:
@@ -198,9 +225,9 @@ def _read_text(path: str | Path, digests: dict | None) -> str:
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = dict(pairs)
-    if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+    if len(doc) < len(pairs):  # name the first key, in file order, given twice
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, n in counts.items() if n > 1)
         raise ParseError(f"repeated key {reprlib.repr(repeated)}")
     return doc
 
@@ -235,7 +262,7 @@ def _csv_columns(text: str, header: list[str], ids: Sequence[str], parse):
             or len(set(zip(*keys, indicators))) != len(body)):
         return None
     try:
-        values = list(map(float, numbers))
+        values = [float(cell) + 0.0 for cell in numbers]  # -0 is 0, as core.number reads it
         parse(min(values))
         parse(max(values))
     except (ValueError, EvicritError):
@@ -260,6 +287,7 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
     pairs = _csv_columns(text, header, ids, parse)
     if pairs is not None:
         return pairs
+    known = set(ids)
     seen: dict[tuple[str, ...], int] = {}
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
@@ -274,7 +302,7 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
                 raise ParseError(f"expected {len(header)} columns, got {len(row)}",
                                  line=line)
             *key, cell = row
-            if key[-1] not in ids:
+            if key[-1] not in known:
                 raise UnknownIndicator(f"unknown indicator {reprlib.repr(key[-1])}",
                                        line=line)
             try:
@@ -568,9 +596,9 @@ def run_pipeline(config: PipelineConfig, *, _last_stage: str = "emit") -> RunMan
     configured, the manifest and report files are written as well.
 
     ``_last_stage`` "consistency" or "weighting" ends the run after that
-    stage and returns its ConsistencyReport or EntropyTable instead; such a
-    run reads no scores and no BPA fixtures, and one that ends at
-    "consistency" no priors.
+    stage and returns its ConsistencyReport, before the gate, or its
+    EntropyTable instead; such a run reads no scores and no BPA fixtures,
+    and one that ends at "consistency" no priors.
     """
     from . import report as report_mod
 
@@ -604,14 +632,14 @@ def run_pipeline(config: PipelineConfig, *, _last_stage: str = "emit") -> RunMan
     with _stage("consistency", timings):
         report = consistency(aggregated, ri_table=ri_table,
                              denominator_mode=config.ci_denominator)
+        if not weighs:
+            return report
         if not report.acceptable and not config.force:
             raise InconsistentMatrix(
                 f"aggregated matrix fails the consistency gate: CR = "
                 f"{report.cr:.4f} >= {CR_THRESHOLD} (lambda_max = "
                 f"{report.lambda_max:.6f}); rerun with --force to proceed",
                 report=report)
-    if not weighs:
-        return report
 
     with _stage("weighting", timings):
         decision = DecisionMatrix(aggregated.values, ids)
@@ -655,18 +683,13 @@ def run_pipeline(config: PipelineConfig, *, _last_stage: str = "emit") -> RunMan
     manifest = RunManifest(
         version=__version__,
         inputs={name: {"path": str(path), "sha256": digests[path]}
-                for name, path in (("scores", config.scores),
-                                   ("matrices", config.matrices),
-                                   ("priors", config.priors),
-                                   ("ri_table", config.ri_table),
-                                   ("bpa_fixtures", config.bpa_fixtures))
-                if path is not None},
+                for name, path in config.inputs().items()},
         config={
-            "alpha": number(config.alpha) + 0.0,  # 1 and 1.0, -0.0 and 0: one run, one text
+            "alpha": config.alpha,
             "overlap_mode": config.overlap_mode,
             "ci_denominator": config.ci_denominator,
-            "window": count(config.window),  # an int, whatever integer type it came as
-            "stride": count(config.stride),
+            "window": config.window,
+            "stride": config.stride,
             "force": config.force,
             "score_aggregation": "mean",
             "bpa_source": "fixtures" if config.bpa_fixtures is not None else "scores",

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -264,6 +265,20 @@ def test_malformed_matrix_between_good_ones(tmp_path, matrix, error, message):
         ingest_matrices(p)
     assert type(exc.value) is error
     assert str(exc.value) == f"{p}: expert 'e1': {message}"
+
+
+@pytest.mark.parametrize("keys, named", [
+    (["a", "b", "b", "a"], "a"), ([f"k{i}" for i in range(50_000)] + ["k49999"], "k49999")],
+    ids=["a-b-b-a", "50000-keys"])
+def test_a_repeated_key_is_named_in_one_counting_pass(tmp_path, keys, named):
+    # the refusal names the first key, in file order, that is given twice;
+    # one counting pass finds it, so 50,000 keys take well under a second
+    p = write(tmp_path / "ri.json", "{" + ", ".join(f'"{key}": 1.5' for key in keys) + "}")
+    started = time.perf_counter()
+    with pytest.raises(errors.ParseError) as exc:
+        load_ri_table(p)
+    assert time.perf_counter() - started < 5.0
+    assert str(exc.value) == f"{p}: repeated key '{named}'"
 
 
 def test_repeated_json_key_is_parse_error(tmp_path):

@@ -10,23 +10,27 @@ A count is an int or one of numpy's integer scalars, with the result of the
 equal int; a float, a bool, numpy's bool, a str and None are refused.
 """
 
+import hashlib
 import json
 import math
+import numbers
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from evicrit import errors
+from evicrit import cli, errors
 from evicrit.ahp import PairwiseMatrix, consistency
 from evicrit.core import (FULL_SET, SLOTS, Bpa, Subset, bpa_from_dict, count, number,
                           number_text)
-from evicrit.datasets import export_example_inputs
+from evicrit.datasets import EXAMPLE_FILES, example_input_text, export_example_inputs
 from evicrit.entropy import DecisionMatrix, build_table
 from evicrit.evidence import rank
 from evicrit.fuzzy import MembershipVector, check_alpha, check_score, membership, to_bpa
 from evicrit.pipeline import PipelineConfig, load_ri_table, run_pipeline, windows
+from evicrit.report import REPORT_FORMATS
 
 H = Subset.from_names(["H"])
 MATRIX = PairwiseMatrix([[1.0, 2.0, 4.0], [0.5, 1.0, 3.0], [0.25, 1 / 3, 1.0]])
@@ -268,3 +272,111 @@ def test_counts_give_the_manifest_of_the_equal_int(tmp_path):
             out_dir=tmp_path / str(n)))
         texts.add((tmp_path / str(n) / "manifest.json").read_bytes())
     assert len(texts) == 1
+
+
+
+@pytest.mark.parametrize("value", [1, np.float64(0.8), np.int64(4), -0.0],
+                         ids=["int", "float64", "int64", "negative-zero"])
+def test_validated_returns_the_settings_the_run_uses(value):
+    # each setting that takes the value gets it: alpha as core.number's
+    # float, -0 as 0, and window and stride as core.count's ints
+    given = {"alpha": value} if 0 <= value <= 1 else {}
+    if isinstance(value, numbers.Integral):
+        given.update(window=value, stride=value)
+    config = PipelineConfig(scores="s.csv", matrices="m.json", **given).validated()
+    assert [type(config.alpha), type(config.window), type(config.stride)] == [float, int, int]
+    assert all(getattr(config, name) == value for name in given)
+    assert math.copysign(1.0, config.alpha) == 1.0
+
+# --- the spelling oracle: one value, one output --------------------------------
+
+#: spellings of one value each; a zero is written only where zero is allowed
+SPELLINGS = (("1", "1.0", "1e0"), ("0.25", "2.5e-1"), ("0", "-0", "-0.0"))
+#: a number token of a CSV or JSON file, not part of an id or a JSON key
+_NUMBER_TOKEN = re.compile(r'(?<![\w."+-])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w."])')
+_FIVE = ["VL", "L", "M", "H", "VH"]
+_PAIR_CELLS = ('{"frame": %s, "masses": [{"subset": ["H"], "mass": 1}, '
+               '{"subset": ["M"], "mass": 0}]}' % json.dumps(_FIVE),
+               '{"frame": %s, "masses": [{"subset": ["L"], "mass": 0.25}, '
+               '{"subset": %s, "mass": 0.75}]}' % (json.dumps(_FIVE), json.dumps(_FIVE)))
+#: input set: (file name -> text, the --alpha of each evaluate run)
+INPUT_SETS = {
+    "example": ({name: example_input_text(name) for name in EXAMPLE_FILES}, "1"),
+    "pair": ({
+        "matrices.json": '{"indicators": ["A", "B"], '
+                         '"experts": [{"id": "e1", "matrix": [[1, 4], [0.25, 1]]}]}\n',
+        "scores.csv": "expert_id,indicator,score\ne1,A,0\ne2,A,1\ne1,B,0\n",
+        "priors.csv": "indicator,lambda\nA,0\nB,0.25\n",
+        "ri.json": '{"2": 0}\n',
+        "fixtures.json": '{"A": %s, "B": %s}\n' % _PAIR_CELLS,
+        "bpas.json": '{"bpas": [%s, %s]}\n' % _PAIR_CELLS,
+    }, "0 0.25"),
+}
+
+
+def _respelled(text: str, k: int) -> str:
+    """``text`` with each number of a SPELLINGS group written as its k-th spelling."""
+    def swap(token):
+        for group in SPELLINGS:
+            if float(token[0]) == float(group[0]):
+                return group[k % len(group)]
+        return token[0]
+    return _NUMBER_TOKEN.sub(swap, text)
+
+
+def _oracle_outputs(d, files, alphas, capsys) -> dict:
+    """Every output of the runs on ``files`` written into ``d``: each run's
+    exit code and stdout, and each file it writes; an input's SHA-256 in
+    the manifest reads as its name, the one output byte that follows the
+    input's bytes."""
+    for name, text in files.items():
+        (d / name).write_text(text)
+    i = {name: str(d / name) for name in files}
+    gate = ["--matrices", i["matrices.json"], "--ri-table", i["ri.json"]]
+    weigh = [*gate, "--priors", i["priors.csv"]]
+    pair = ["--window", "2", "--stride", "1"] if "bpas.json" in files else []
+    runs = [["evaluate", "--scores", i["scores.csv"], *weigh, *pair, "--alpha", alphas[0],
+             "--format", fmt, "--out-dir", str(d / fmt), "--chart", str(d / fmt / "chart.svg")]
+            for fmt in REPORT_FORMATS]
+    runs += [["consistency", *gate], ["weights", *weigh]]
+    if pair:
+        runs += [["evaluate", "--scores", i["scores.csv"], *weigh, *pair, "--alpha", alphas[1],
+                  "--bpa-fixtures", i["fixtures.json"], "--format", "json",
+                  "--out-dir", str(d / "fixtures")],
+                 ["fuse", "--bpas", i["bpas.json"]]]
+    got = {}
+    for n, argv in enumerate(runs):
+        got[f"{n} {argv[0]}"] = (cli.run(argv), capsys.readouterr().out)
+    digests = {hashlib.sha256(text.encode()).hexdigest().encode(): name.encode()
+               for name, text in files.items()}
+    for fmt in (*REPORT_FORMATS, "fixtures"):
+        for path in sorted((d / fmt).glob("*")):
+            data = path.read_bytes()
+            for digest, name in digests.items():
+                data = data.replace(digest, name)
+            got[f"{fmt}/{path.name}"] = data
+    return got
+
+
+_SPELLING_CASES = [
+    pytest.param(set_name, target, k, id=f"{set_name}-{target}-{k}")
+    for set_name, (files, alphas) in INPUT_SETS.items()
+    for target, text in (*files.items(), ("--alpha", alphas))
+    for k in range(3) if _respelled(text, k) != text]
+
+
+@pytest.mark.parametrize("set_name, target, k", _SPELLING_CASES)
+def test_spellings_of_one_value_give_the_same_bytes(tmp_path, capsys, set_name, target, k):
+    # the oracle: 1, 1.0 and 1e0, 0.25 and 2.5e-1, 0, -0 and -0.0 are each
+    # one value, so writing one for another in an input or in --alpha
+    # changes no byte of the manifest, the reports, the chart or what the
+    # subcommands print
+    files, alphas = INPUT_SETS[set_name]
+    want = _oracle_outputs(tmp_path, files, alphas.split(), capsys)
+    if target == "--alpha":
+        alphas = _respelled(alphas, k)
+    else:
+        files = {**files, target: _respelled(files[target], k)}
+    got = _oracle_outputs(tmp_path, files, alphas.split(), capsys)
+    assert {value[0] for value in want.values() if isinstance(value, tuple)} == {0}
+    assert got == want

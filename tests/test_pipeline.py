@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import evicrit
-from evicrit import cli, errors
+from evicrit import cli, errors, pipeline
 from evicrit.ahp import CR_THRESHOLD
-from evicrit.core import FRAME, Subset, bpa_to_dict
+from evicrit.core import FRAME, Subset, bpa_to_dict, vacuous
 from evicrit.datasets import (
     example_input_text,
     export_example_inputs,
@@ -952,6 +952,58 @@ def test_cli_reads_the_number_text_that_float_and_int_read(inputs, capsys, alpha
     assert cli.run(["evaluate", *cli_inputs(inputs), "--alpha", alpha,
                     "--window", " 4", "--stride", "+2"]) == 0
     assert "top=B8" in capsys.readouterr().out
+
+
+def _files(root):
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in root.rglob("*") if path.is_file()}
+
+
+def _fuse_inputs(d):
+    bpas = write(d / "bpas.json", json.dumps({"bpas": [bpa_to_dict(vacuous())]}))
+    return ["fuse", "--bpas", str(bpas), "--out", str(d / "x" / ".." / "bpas.json")]
+
+
+def _out_dir_over_input(i, d):
+    scores = write(d / "o" / "ratings.csv", i["scores.csv"].read_text())
+    return ["evaluate", *cli_inputs({**i, "scores.csv": scores}), "--format", "csv",
+            "--out-dir", str(d / "o")]
+
+
+# name: (argv from the example inputs and a directory, the refusal); paths
+# are compared as os.path.abspath spells them, so "x/.." is no way round
+OUTPUT_COLLISIONS = {
+    "chart-over-report": (lambda i, d: ["evaluate", *cli_inputs(i), "--out-dir", str(d / "o"),
+                                        "--chart", str(d / "o" / "x" / ".." / "report.txt")],
+                          "chart and report.txt in out_dir are one path"),
+    "chart-over-manifest": (lambda i, d: ["evaluate", *cli_inputs(i), "--format", "json",
+                                          "--out-dir", str(d / "out"),
+                                          "--chart", str(d / "out" / "manifest.json")],
+                            "chart and manifest.json in out_dir are one path"),
+    "chart-over-input": (lambda i, d: ["evaluate", *cli_inputs(i),
+                                       "--chart", str(i["priors.csv"])],
+                         "chart and priors are one path"),
+    "out-dir-over-input": (_out_dir_over_input, "ratings.csv in out_dir and scores are one path"),
+    "weights-out-over-matrices": (lambda i, d: ["weights", "--matrices", str(i["matrices.json"]),
+                                                "--out", str(i["matrices.json"])],
+                                  "out and matrices are one path"),
+    "fuse-out-over-bpas": (lambda i, d: _fuse_inputs(d), "out and bpas are one path"),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_COLLISIONS)
+def test_an_output_over_another_output_or_an_input_is_refused(inputs, tmp_path, capsys,
+                                                              monkeypatch, case):
+    build, message = OUTPUT_COLLISIONS[case]
+    argv = build(inputs, tmp_path)
+    before = _files(tmp_path)
+
+    def no_read(path, digests):
+        raise AssertionError(f"{path} read before the refusal")
+    monkeypatch.setattr(pipeline, "_read_text", no_read)
+    assert cli.run(argv) == 1
+    assert capsys.readouterr() == ("", f"evicrit: error: {message}\n")
+    assert _files(tmp_path) == before
 
 
 def test_cli_evaluate_without_priors(inputs, tmp_path, capsys):
