@@ -6,18 +6,23 @@ are deterministic (always grade order).  Every mass function lives on that
 frame: an immutable tuple of 32 floats, one slot per subset, indexed by its
 bits.  ``number`` is the one rule for every number a caller or a file gives
 and for its refusal; ``number_text`` is the one rule for number text, and
-``count`` the one rule for every whole count.
+``count`` the one rule for every whole count.  The CSV format lives here
+too: ``csv_rows`` reads the rows of every CSV input and ``csv_text`` writes
+every CSV output.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import numbers
 import operator
 import reprlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from types import SimpleNamespace
 
 from .errors import (
     FrameMismatch,
@@ -65,6 +70,46 @@ def number_text(text: str, kind: type = float) -> float | int:
     if "_" in text or not text.isascii():
         raise ValueError(text)
     return kind(text)
+
+
+def csv_rows(text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each nonblank row after ``header`` of CSV ``text``:
+    the one row rule of every CSV input.
+
+    Quoting is strict, and a line ends at LF, CRLF or a lone CR; ``line``
+    is the line on which the row ends.  The rows are read lazily, so a fault
+    is raised only when the reader reaches it and the first fault in file
+    order wins: another header is a ParseError, and a row of another width
+    or a quoting fault is a ParseError at its line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        first = next(reader, None)
+        if first != list(header):
+            raise ParseError(f"expected header {','.join(header)}, got {first}")
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                     line=reader.line_num)
+                yield reader.line_num, row
+    except csv.Error as e:
+        raise ParseError(str(e), line=reader.line_num) from None
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV encoding of every CSV output: a header row, then ``rows``,
+    each record ended by "\\n".
+
+    The csv module quotes a CR or LF in a field only when its line
+    terminator holds it, so the writer ends its records in "\\r\\n" and
+    each record it writes is cut back to "\\n".
+    """
+    records: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join([record[:-2] + "\n" for record in records])
 
 
 def count(value, error=None, what: str = "") -> int:

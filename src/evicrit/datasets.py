@@ -10,15 +10,13 @@ profile and ranking verdicts.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Bpa, Label, bpa_from_dict, parse_label
+from .core import Bpa, Label, bpa_from_dict, csv_rows, parse_label
 from .entropy import EntropyTable
 from .errors import IoError, ParseError
 
@@ -59,12 +57,9 @@ class ReferenceRating:
 def reference_ratings() -> tuple[ReferenceRating, ...]:
     """The published single-grade rating of each of the fourteen indicators,
     in id order; the file is read once per process."""
-    reader = csv.reader(io.StringIO(_read("reference_ratings.csv")))
-    header = next(reader)
-    if header != ["indicator", "description", "rating"]:
-        raise ParseError(f"unexpected ratings header {header}")
-    return tuple(ReferenceRating(row[0], row[1], parse_label(row[2]))
-                 for row in reader)
+    return tuple(ReferenceRating(indicator, description, parse_label(rating))
+                 for _, (indicator, description, rating) in csv_rows(
+                     _read("reference_ratings.csv"), ("indicator", "description", "rating")))
 
 
 @dataclass(frozen=True)

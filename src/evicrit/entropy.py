@@ -9,21 +9,21 @@ definition, ``EntropyTable.COLUMNS`` with ``EntropyTable.columns()``.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .ahp import frozen_cells
-from .core import number
+from .core import csv_rows, csv_text, number, number_text
 from .errors import (
     AllZeroDivergence,
     DegeneratePriors,
     DegenerateRows,
     InvalidMatrix,
+    ParseError,
     ZeroColumn,
 )
 
@@ -138,8 +138,6 @@ class EntropyTable:
                 for j, indicator_id in enumerate(self.ids)]
 
     def to_csv(self) -> str:
-        from .report import csv_text  # on first use: `import evicrit` skips report
-
         columns = self.columns().values()
         return csv_text(("indicator", *self.COLUMNS), ((
             indicator_id, *("" if values is None else repr(values[j]) for values in columns),
@@ -147,17 +145,25 @@ class EntropyTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "EntropyTable":
-        """The table ``to_csv`` wrote: E, d and W need a value in every row,
-        lambda and W_adj in every row or none (then they read as None)."""
-        reader = csv.reader(io.StringIO(text))
-        header = tuple(next(reader))
-        if header != ("indicator", *cls.COLUMNS):
-            raise ValueError(f"unexpected header {header}")
-        # with the header in the strict zip, a row narrower or wider than it is refused
-        (_, *ids), *cells = zip(header, *reader, strict=True)
-        # the columns after W may be empty; float("") refuses a partly filled one
-        return cls(tuple(ids), *(None if j >= 3 and not any(values) else tuple(map(float, values))
-                                 for j, (_, *values) in enumerate(cells)))
+        """The table ``to_csv`` wrote, its rows read by ``core.csv_rows`` and
+        its numbers by ``core.number_text`` and ``core.number``: E, d and W
+        need a value in every row, lambda and W_adj both in every row or
+        neither in any (then they read as None).  A fault is a ParseError
+        at its line."""
+        rows = []  # [id, E, d, W] or [id, E, d, W, lambda, W_adj]
+        for line, (indicator_id, *cells) in csv_rows(text, ("indicator", *cls.COLUMNS)):
+            width = 3 if cells[3:] == ["", ""] else 5
+            if rows and width != len(rows[0]) - 1:
+                raise ParseError("lambda and W_adj need values in every row or in none",
+                                 line=line)
+            rows.append([indicator_id])
+            for name, cell in zip(cls.COLUMNS, cells[:width]):
+                try:
+                    rows[-1].append(number(number_text(cell)))
+                except ValueError:
+                    raise ParseError(f"{name} {reprlib.repr(cell)} is not a number",
+                                     line=line) from None
+        return cls(*(list(zip(*rows)) or [()] * 4))
 
 
 def build_table(d: DecisionMatrix, priors: Mapping[str, float] | None = None,

@@ -47,6 +47,7 @@ from .core import (
     bpa_from_dict,
     bpa_to_dict,
     count,
+    csv_rows,
     number,
     number_text,
 )
@@ -281,45 +282,30 @@ def _csv_pairs(text: str, header: list[str], ids: Sequence[str], what: str, pars
     column and in its last a number (the row's ``what``) by the text rule of
     ``core.number_text``, which ``parse`` checks as a float.  No row repeats
     its key (all columns but the number), and the rows cover ``ids``.  A
-    file that breaks a rule on whole columns is walked row by row, to name
-    the line on which the first faulty row ends.
+    file that breaks a rule on whole columns is walked row by row through
+    ``core.csv_rows``, to name the line on which the first faulty row ends.
     """
     pairs = _csv_columns(text, header, ids, parse)
     if pairs is not None:
         return pairs
     known = set(ids)
     seen: dict[tuple[str, ...], int] = {}
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    try:
-        first = next(reader, None)
-        if first != header:
-            raise ParseError(f"expected header {','.join(header)}, got {first}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                 line=line)
-            *key, cell = row
-            if key[-1] not in known:
-                raise UnknownIndicator(f"unknown indicator {reprlib.repr(key[-1])}",
-                                       line=line)
-            try:
-                parse(number_text(cell))
-            except ValueError:
-                raise ParseError(f"{what} {reprlib.repr(cell)} is not a number",
-                                 line=line) from None
-            except EvicritError as e:
-                e.line = line
-                raise
-            seen_at = seen.setdefault(tuple(key), line)
-            if seen_at != line:
-                raise ParseError(f"expert {reprlib.repr(key[0])} already scored "
-                                 f"{_clipped(key[1])} at line {seen_at}" if what == "score"
-                                 else f"duplicate prior for {_clipped(key[0])}", line=line)
-    except csv.Error as e:
-        raise ParseError(str(e), line=reader.line_num) from None
+    for line, (*key, cell) in csv_rows(text, header):
+        if key[-1] not in known:
+            raise UnknownIndicator(f"unknown indicator {reprlib.repr(key[-1])}", line=line)
+        try:
+            parse(number_text(cell))
+        except ValueError:
+            raise ParseError(f"{what} {reprlib.repr(cell)} is not a number",
+                             line=line) from None
+        except EvicritError as e:
+            e.line = line
+            raise
+        seen_at = seen.setdefault(tuple(key), line)
+        if seen_at != line:
+            raise ParseError(f"expert {reprlib.repr(key[0])} already scored "
+                             f"{_clipped(key[1])} at line {seen_at}" if what == "score"
+                             else f"duplicate prior for {_clipped(key[0])}", line=line)
     _check_covered(ids, {key[-1] for key in seen}, "scores" if what == "score" else "prior")
     return []  # no row and no id: the one valid file the column checks leave here
 

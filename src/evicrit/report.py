@@ -18,7 +18,6 @@ included, goes through one write:
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import math
@@ -26,10 +25,9 @@ import os
 import secrets
 import stat
 from pathlib import Path
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset
+from .core import FRAME, FULL_SET, JSON_NUMBER_TYPES, Bpa, Subset, csv_text
 from .datasets import reference_ratings
 from .entropy import EntropyTable
 from .errors import IoError
@@ -168,21 +166,6 @@ def _json_key(k) -> str:
     if k is None or isinstance(k, JSON_NUMBER_TYPES):  # bool is an int
         return '"' + _json_value(k, "") + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The CSV encoding of every CSV output: a header row, then ``rows``,
-    each record ended by "\\n".
-
-    The csv module quotes a CR or LF in a field only when its line
-    terminator holds it, so the writer ends its records in "\\r\\n" and
-    each record it writes is cut back to "\\n".
-    """
-    records: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return "".join([record[:-2] + "\n" for record in records])
 
 
 def write_manifest(manifest: "RunManifest", path: str | Path) -> Path:

@@ -21,6 +21,8 @@ from evicrit.core import (
     Subset,
     bpa_from_dict,
     bpa_to_dict,
+    csv_rows,
+    csv_text,
     parse_label,
     subsets_of,
     unit_normalized,
@@ -228,3 +230,40 @@ def test_bpa_from_dict_rejects_unknown_label():
                            "masses": [{"subset": ["H", name], "mass": 1.0}]})
         assert str(exc.value) == (f"unknown grade name {name!r}; "
                                   "expected one of VL, L, M, H, VH")
+
+
+def test_csv_rows_read_each_line_end_skip_blank_rows_and_name_lines():
+    text = 'a,b\r\n1,2\n\n"x\ry",3\r\r4,5\n'
+    assert list(csv_rows(text, ("a", "b"))) == [(2, ["1", "2"]), (5, ["x\ry", "3"]),
+                                                (7, ["4", "5"])]
+    assert list(csv_rows(csv_text(("a", "b"), [("x\ry", 3), ("4", 5)]), ["a", "b"])) == [
+        (3, ["x\ry", "3"]), (4, ["4", "5"])]
+    assert list(csv_rows("a,b", ("a", "b"))) == []
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("a,b\n1,2\n\n3\n", 4, "expected 2 columns, got 1"),
+    ("a,b\n1,2\n3,4,5\n", 3, "expected 2 columns, got 3"),
+    ('a,b\n1,2\n3,"4"5\n', 3, "',' expected after '\"'"),
+    ('a,b\n1,2\n3,"4\n', 3, "unexpected end of data"),
+    ("a,c\n1,2\n", None, "expected header a,b, got ['a', 'c']"),
+    ("", None, "expected header a,b, got None"),
+])
+def test_csv_rows_raise_a_fault_when_the_reader_reaches_it(text, line, message):
+    rows = csv_rows(text, ("a", "b"))
+    if line is not None:  # the rows before the fault come first
+        assert next(rows) == (2, ["1", "2"])
+    with pytest.raises(errors.ParseError) as caught:
+        next(rows)
+    assert (caught.value.line, caught.value.args[0]) == (line, message)
+
+
+def test_a_float_minus_zero_slot_equals_zero_and_reaches_no_output():
+    from evicrit.pipeline import fused_masses
+    from evicrit.report import json_text
+
+    signed, plain = Bpa([-0.0] * 31 + [1.0]), Bpa([0.0] * 31 + [1.0])
+    assert math.copysign(1.0, signed.vector[0]) == -1.0  # the float fast path keeps the sign
+    assert signed == plain
+    assert signed.focal() == plain.focal() == ((FULL_SET, 1.0),)
+    assert json_text(fused_masses(signed)) == json_text(fused_masses(plain))

@@ -194,8 +194,9 @@ def test_csv_round_trip_without_priors():
 
 def test_from_csv_refuses_a_partly_filled_prior_column():
     text = "indicator,E,d,W,lambda,W_adj\na,0.5,0.5,0.5,0.4,0.5\nb,0.5,0.5,0.5,,0.5\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.ParseError) as caught:
         EntropyTable.from_csv(text)
+    assert caught.value.line == 3
 
 
 @pytest.mark.parametrize("row", ["A,0.5,0.5,1.0,", "A,0.5,0.5,1.0,,,EXTRA", "A,0.5,0.5,1.0,,,"],
@@ -203,13 +204,57 @@ def test_from_csv_refuses_a_partly_filled_prior_column():
 def test_from_csv_refuses_a_row_narrower_or_wider_than_the_header(row):
     header = "indicator,E,d,W,lambda,W_adj\n"
     assert EntropyTable.from_csv(header + "A,0.5,0.5,1.0,,\n").ids == ("A",)
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.ParseError) as caught:
         EntropyTable.from_csv(header + row + "\n")
+    assert caught.value.line == 2
+
+
+HEADER = "indicator,E,d,W,lambda,W_adj\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ('B,"0.5"5,0.5,1.0,,', "',' expected after '\"'"),
+    ("B,1_0,0.5,1.0,,", "E '1_0' is not a number"),
+    ("B,0.5,\u0665,1.0,,", "d '\u0665' is not a number"),
+    ("B,0.5,0.5,x,,", "W 'x' is not a number"),
+    ("B,0.5,0.5", "expected 6 columns, got 3"),
+    # lambda and W_adj are read together: build_table fills both or neither
+    ("B,0.5,0.5,1.0,0.4,", "lambda and W_adj need values in every row or in none"),
+    ("B,0.5,0.5,1.0,,0.4", "lambda and W_adj need values in every row or in none"),
+    ("B,0.5,0.5,1.0,0.4,0.4", "lambda and W_adj need values in every row or in none"),
+], ids=["quote", "underscore", "arabic-indic", "text", "short", "lambda-alone", "W_adj-alone",
+        "filled-after-empty"])
+def test_from_csv_names_the_line_of_a_bad_row(row, message):
+    with pytest.raises(errors.ParseError) as caught:
+        EntropyTable.from_csv(HEADER + "A,0.5,0.5,1.0,,\r\n\nC,0.5,0.5,1.0,,\r" + row + "\n")
+    assert (caught.value.line, caught.value.args[0]) == (5, message)
+
+
+@pytest.mark.parametrize("row, message", [("A,0.5,0.5,1.0,0.4,", "W_adj '' is not a number"),
+                                          ("A,0.5,0.5,1.0,,0.4", "lambda '' is not a number")])
+def test_from_csv_refuses_lambda_or_w_adj_alone_in_the_first_row(row, message):
+    with pytest.raises(errors.ParseError) as caught:
+        EntropyTable.from_csv(HEADER + row + "\n")
+    assert (caught.value.line, caught.value.args[0]) == (2, message)
+
+
+def test_from_csv_refuses_another_header():
+    with pytest.raises(errors.ParseError, match="expected header indicator,E,d,W,lambda,W_adj"):
+        EntropyTable.from_csv("indicator,E,d,W\nA,0.5,0.5,1.0\n")
+
+
+def test_from_csv_skips_blank_lines_and_reads_minus_zero_as_zero():
+    table = EntropyTable.from_csv(HEADER + "\nA,-0,1,0.5,-0,-0.0\n\n\nB,1,0,0.5,1,1\n")
+    assert table == EntropyTable(ids=("A", "B"), entropy=(0.0, 1.0), div=(1.0, 0.0),
+                                 weights=(0.5, 0.5), priors=(0.0, 1.0), adjusted=(0.0, 1.0))
+    assert math.copysign(1.0, table.entropy[0]) == 1.0
+    assert math.copysign(1.0, table.priors[0]) == math.copysign(1.0, table.adjusted[0]) == 1.0
 
 
 def test_from_csv_reads_a_header_only_table_as_empty():
-    assert EntropyTable.from_csv("indicator,E,d,W,lambda,W_adj\n") == EntropyTable(
-        ids=(), entropy=(), div=(), weights=(), priors=None, adjusted=None)
+    empty = EntropyTable(ids=(), entropy=(), div=(), weights=(), priors=None, adjusted=None)
+    assert EntropyTable.from_csv("indicator,E,d,W,lambda,W_adj\n") == empty
+    assert EntropyTable.from_csv(empty.to_csv()) == empty
 
 
 def test_rows_follow_the_columns_and_keep_null_prior_columns():

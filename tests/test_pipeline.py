@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import evicrit
-from evicrit import cli, errors, pipeline
+from evicrit import cli, datasets, errors, pipeline
 from evicrit.ahp import CR_THRESHOLD
 from evicrit.core import FRAME, Subset, bpa_to_dict, vacuous
 from evicrit.datasets import (
@@ -559,6 +559,51 @@ def test_example_csv_and_json_reports_are_pinned(inputs, tmp_path):
         "report.json": "2488ebbd0463c26ded1d4b9b4ab6a83f3b238a2ae65f82086e84d7e7e59836d8"}
 
 
+#: sha256 of fusion.csv and ratings.csv at --alpha 0.8, by scores and overlap mode
+OVERLAP_DIGESTS = {
+    ("example", "adjacent"): ("e0f2ae3835a510e3ec849c81a1ab2702a7287781fbeaf7726f65f5d9490e908d",
+                              "9b1fde7e98491721c2cc17b9172d9bf89e1e808d4dc196850f4f3e5e6b5f0eed"),
+    ("example", "theta"): ("e0f2ae3835a510e3ec849c81a1ab2702a7287781fbeaf7726f65f5d9490e908d",
+                           "9b1fde7e98491721c2cc17b9172d9bf89e1e808d4dc196850f4f3e5e6b5f0eed"),
+    ("shifted", "adjacent"): ("8039230f2f8460e7d68085e8b303f8bddcc31389057cd6ba96fc5986fb060c94",
+                              "ebc7826dacdd93e018ba0af9b58d54ca3bf8f2f50b8a72bc69726ecdd4838eb1"),
+    ("shifted", "theta"): ("43f9e3db6f9bfce7af1a44c1e6d985624c31944e3e409b5ff3f01f06b4d8ef1e",
+                           "ebc7826dacdd93e018ba0af9b58d54ca3bf8f2f50b8a72bc69726ecdd4838eb1"),
+}
+
+
+def test_overlap_modes_are_pinned_end_to_end(inputs, tmp_path, capsys):
+    # expert e1 one grade step up, capped at 10, puts scores between two grades'
+    # peaks: adjacent mode gives that overlap to the pair, theta mode to the frame
+    header, *rows = inputs["scores.csv"].read_text().splitlines()
+    shifted = write(tmp_path / "shifted.csv", "".join([f"{header}\n", *(
+        f"{expert},{indicator},{min(float(score) + 1.0, 10.0) if expert == 'e1' else score}\n"
+        for expert, indicator, score in (row.split(",") for row in rows))]))
+    digests, pair_cells, bottoms = {}, {}, {}
+    for scores, path in (("example", inputs["scores.csv"]), ("shifted", shifted)):
+        for mode in ("adjacent", "theta"):
+            out = tmp_path / scores / mode
+            assert cli.run(["evaluate", "--scores", str(path), *cli_inputs(inputs)[2:],
+                            "--alpha", "0.8", "--format", "csv", "--overlap-mode", mode,
+                            "--out-dir", str(out)]) == 0
+            bottoms[scores, mode] = capsys.readouterr().out.split(
+                "rank by fused belief: ")[1].split("\n")[0]
+            digests[scores, mode] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                          for name in ("fusion.csv", "ratings.csv"))
+            header_row, *windows_rows, _average = [
+                line.split(",") for line in (out / "fusion.csv").read_text().splitlines()]
+            pairs = [header_row.index(name) for name in ("VL+L", "L+M", "M+H", "H+VH")]
+            pair_cells[scores, mode] = sum(float(row[j]) > 0.0
+                                           for row in windows_rows for j in pairs)
+    assert digests == OVERLAP_DIGESTS
+    assert digests["example", "adjacent"] == digests["example", "theta"]
+    assert digests["shifted", "adjacent"][0] != digests["shifted", "theta"][0]
+    assert pair_cells == {("example", "adjacent"): 0, ("example", "theta"): 0,
+                          ("shifted", "adjacent"): 14, ("shifted", "theta"): 0}
+    assert bottoms["shifted", "adjacent"] == "top=H bottom=VH"
+    assert bottoms["shifted", "theta"] == "top=H bottom=L"
+
+
 def test_chart_without_priors_draws_only_the_columns_it_has(inputs, tmp_path):
     # E, d and W per indicator: no zero-height lambda and W_adj bars, no key for them
     chart = tmp_path / "weights.svg"
@@ -886,6 +931,18 @@ def test_reference_ratings_fixture():
     assert len(ratings) == 14
     assert ratings[7].indicator == "B8"
     assert ratings[7].rating.name == "H"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("B2,Feature selection", "expected 3 columns, got 2"),
+    ("B2,Feature selection,VH,extra", "expected 3 columns, got 4"),
+], ids=["short", "long"])
+def test_reference_ratings_read_by_the_one_row_rule(monkeypatch, row, message):
+    text = f"indicator,description,rating\nB1,Align Sequences,M\n\n{row}\n"
+    monkeypatch.setattr(datasets, "_read", lambda relative: text)
+    with pytest.raises(errors.ParseError) as caught:
+        reference_ratings.__wrapped__()  # past the once-per-process cache
+    assert (caught.value.line, caught.value.args[0]) == (4, message)
 
 
 def test_reference_fusion_fixture():
